@@ -509,10 +509,11 @@ func (c *checker) checkWrite(target ast.Expr, at ast.Node) {
 		if c.ownershipGuarded(target) {
 			return
 		}
-		// A map cell whose selection path is proven worker-owned (sharded
-		// maps: p.LongFrags[owner][c] under an ownership guard) passed the
-		// checks above; an unproven map write is worse than an unproven
-		// slice write because the runtime faults instead of racing quietly.
+		// A map cell whose selection path is proven worker-owned (a
+		// per-shard map selected by an index-tainted or owner-guarded
+		// position, as in shards[k][key]) passed the checks above; an
+		// unproven map write is worse than an unproven slice write because
+		// the runtime faults instead of racing quietly.
 		if ix, ok := target.(*ast.IndexExpr); ok {
 			if _, isMap := c.pass.TypeOf(ix.X).Underlying().(*types.Map); isMap {
 				c.report(target, "write to shared map %s in a par.Pool worker body: "+

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"reflect"
 	"testing"
 )
@@ -76,5 +77,41 @@ func TestPerfReport(t *testing.T) {
 	_, rep2 := run()
 	if !reflect.DeepEqual(scrubHost(rep), scrubHost(rep2)) {
 		t.Fatal("perf report is not deterministic across suites")
+	}
+	checkCommittedPerf(t, rep)
+}
+
+// committedPerf is the perf trajectory committed at the repository root.
+const committedPerf = "../../BENCH_perf.json"
+
+// checkCommittedPerf is the trajectory's regression fence: the simulated
+// columns of a fresh tiny-tier report must equal the committed baseline
+// exactly (JSON floats round-trip bit for bit), so a change that moves a
+// simulated result fails here instead of only warning in CI. A deliberate
+// modeling change regenerates the baseline with
+// `go run ./cmd/gearbox-bench -size tiny -exp perf -json BENCH_perf.json`.
+func checkCommittedPerf(t *testing.T, rep PerfReport) {
+	t.Helper()
+	data, err := os.ReadFile(committedPerf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base PerfReport
+	if err := json.Unmarshal(data, &base); err != nil {
+		t.Fatalf("%s: %v", committedPerf, err)
+	}
+	if base.Size != rep.Size || len(base.Entries) != len(rep.Entries) {
+		t.Fatalf("%s: size %q with %d entries, fresh report has size %q with %d", committedPerf,
+			base.Size, len(base.Entries), rep.Size, len(rep.Entries))
+	}
+	for i, b := range base.Entries {
+		e := rep.Entries[i]
+		if b.Dataset != e.Dataset || b.App != e.App || b.Version != e.Version {
+			t.Fatalf("entry %d: committed %s/%s/%s, fresh %s/%s/%s", i, b.Dataset, b.App, b.Version, e.Dataset, e.App, e.Version)
+		}
+		if b.TimeNs != e.TimeNs || b.EnergyJ != e.EnergyJ || b.Iterations != e.Iterations || b.ProcessedNNZ != e.ProcessedNNZ {
+			t.Errorf("%s/%s: simulated columns moved: committed time_ns=%v energy_j=%v iterations=%d processed_nnz=%d, fresh %v %v %d %d",
+				e.Dataset, e.App, b.TimeNs, b.EnergyJ, b.Iterations, b.ProcessedNNZ, e.TimeNs, e.EnergyJ, e.Iterations, e.ProcessedNNZ)
+		}
 	}
 }

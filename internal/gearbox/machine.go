@@ -165,6 +165,15 @@ type Machine struct {
 	busy      []float64
 	dirty     [][]int32 // newly non-clean short indexes per SPU
 	dirtyLong [][]int32 // newly non-clean replica slots per SPU (V3)
+	// Step 6 reduce buckets (V3): redBlockOf maps a long slot to the guided
+	// reduce block that owns it, and redBucket[b] lists block b's dirty
+	// replica slots as k<<32|slot keys, ascending by SPU k (runStep6Reduce).
+	redBlockOf []int32
+	redBucket  [][]uint64
+	// longWork[k] is SPU k's step 3 worklist: the LongEntries ranges of the
+	// long pieces this iteration's frontier activates on SPU k, in frontier
+	// order (buildLongWork).
+	longWork [][]longItem
 	// Step 4/5 receive buffers, SoA: recvIdx[k] holds encoded row indexes
 	// (enc >= 0 is a remote accumulation of row enc; enc < 0 a local
 	// clean-indicator pair of row ^enc) and recvVal[k] the aligned values —
@@ -330,6 +339,7 @@ func New(plan *partition.Plan, sem semiring.Semiring, cfg Config) (*Machine, err
 		busy:       make([]float64, plan.NumSPUs),
 		dirty:      make([][]int32, plan.NumSPUs),
 		dirtyLong:  make([][]int32, plan.NumSPUs),
+		longWork:   make([][]longItem, plan.NumSPUs),
 		recvIdx:    make([][]int32, plan.NumSPUs),
 		recvVal:    make([][]float32, plan.NumSPUs),
 		emit:       make([]spuEmit, plan.NumSPUs),
@@ -634,6 +644,7 @@ func (m *Machine) resetScratch() {
 		m.busy[k] = 0
 		m.dirty[k] = m.dirty[k][:0]
 		m.dirtyLong[k] = m.dirtyLong[k][:0]
+		m.longWork[k] = m.longWork[k][:0]
 		m.recvIdx[k] = m.recvIdx[k][:0]
 		m.recvVal[k] = m.recvVal[k][:0]
 		e := &m.emit[k]

@@ -282,3 +282,53 @@ func BenchmarkIterateSerialSkewed(b *testing.B) { benchmarkIterateDataset(b, "tw
 func BenchmarkIterateParallelSkewed(b *testing.B) {
 	benchmarkIterateDataset(b, "twitter", 0)
 }
+
+// benchmarkIterateSparseLong drives repeated SSSP-shaped iterations: the
+// road stand-in over min-plus, with a sparse frontier of non-integer
+// distances that activates every fourth long column (in descending order)
+// besides one short vertex in 64. Each long activation touches only the
+// few SPUs that hold the column's pieces, so this is the benchmark step 3's
+// per-activation cost shows in; the PageRank-shaped benchmarks above
+// activate every column.
+func benchmarkIterateSparseLong(b *testing.B, workers int) {
+	ds, err := gen.Load("road", gen.Small)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := partition.Build(ds.Matrix, mem.DefaultGeometry(), partition.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if plan.LastLong < 0 {
+		b.Fatal("road plan has no long region")
+	}
+	cfg := DefaultConfig()
+	cfg.Workers = workers
+	mach, err := New(plan, semiring.MinPlus{}, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var entries []FrontierEntry
+	for v := plan.LastLong; v >= 0; v -= 4 {
+		entries = append(entries, FrontierEntry{Index: v, Value: 0.5 + float32(v)*0.25})
+	}
+	for v := plan.LastLong + 1; v < ds.Matrix.NumRows; v += 64 {
+		entries = append(entries, FrontierEntry{Index: v, Value: 1.5 + float32(v%97)*0.125})
+	}
+	f, err := mach.DistributeFrontier(entries)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		next, _, err := mach.Iterate(f, IterateOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		mach.Recycle(next)
+	}
+}
+
+func BenchmarkIterateSerialSparseLong(b *testing.B)   { benchmarkIterateSparseLong(b, 1) }
+func BenchmarkIterateParallelSparseLong(b *testing.B) { benchmarkIterateSparseLong(b, 0) }

@@ -139,14 +139,26 @@ func (m *Machine) runStep3Merge() {
 }
 
 // runStep6Reduce is the V3 replica reduction sharded by logic-accumulator
-// slot: guided blocks over [0, LastLong] each fold every SPU's dirty replica
-// slots in their range, scanning SPUs in ascending order so each slot's
-// float fold order matches the serial path. With apply disabled it overlaps
-// the frontier-emit region (see step6Applying); the two touch disjoint
-// state (long replicas/accumulator vs short output/frontier buckets).
+// slot: one serial pass files every SPU's dirty replica slots, SPUs in
+// ascending order, into the bucket of the guided block that owns the slot;
+// then the blocks over [0, LastLong] each fold their own bucket, so each
+// slot's float fold order matches the serial path and no block scans
+// another's slots. With apply disabled it overlaps the frontier-emit region
+// (see step6Applying); the two touch disjoint state (long
+// replicas/accumulator and the reduce buckets vs short output/frontier
+// buckets).
 //
 //gearbox:steadystate
 func (m *Machine) runStep6Reduce() {
+	for b := range m.redBucket {
+		m.redBucket[b] = m.redBucket[b][:0]
+	}
+	for k, dl := range m.dirtyLong {
+		for _, r := range dl {
+			b := m.redBlockOf[r]
+			m.redBucket[b] = append(m.redBucket[b], uint64(k)<<32|uint64(uint32(r))) //gearbox:alloc-ok recycled reduce bucket; grows to its high-water mark
+		}
+	}
 	m.pool.ForEachBlockDynamic("step6-reduce", int(m.plan.LastLong)+1, m.fnReduceRep)
 }
 

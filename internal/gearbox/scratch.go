@@ -106,6 +106,19 @@ func (m *Machine) initScratch() {
 		for bf := range m.scr.bankSlotMark {
 			m.scr.bankSlotMark[bf] = make([]int32, m.plan.LastLong+1)
 		}
+		// The same for the step 6 replica reduction: dirty slots are
+		// bucketed by the guided reduce block that owns them, so block b
+		// reads only bucket b.
+		nLong := int(m.plan.LastLong) + 1
+		nrb := m.pool.GuidedBlocks(nLong)
+		m.redBlockOf = make([]int32, nLong)
+		m.redBucket = make([][]uint64, nrb)
+		for b := 0; b < nrb; b++ {
+			lo, hi := m.pool.GuidedRange(nLong, b)
+			for r := lo; r < hi; r++ {
+				m.redBlockOf[r] = int32(b)
+			}
+		}
 	}
 	m.bindWorkerFns()
 }
@@ -267,36 +280,29 @@ func (m *Machine) bindWorkerFns() {
 	//gearbox:steadystate
 	m.fnReduceRep = func(w, b, lo, hi int) {
 		// V3 replica reduction, sharded by logic-accumulator slot: block b
-		// owns slots [lo, hi). Every block scans all SPUs' dirty replica
-		// lists in ascending SPU order, so each slot's float fold order is
-		// the serial reduction's. Marks are slot-indexed (slot r is touched
-		// only by the block owning r, so concurrent blocks write disjoint
-		// elements) and distinct-slot counts are worker-private.
+		// owns slots [lo, hi), and runStep6Reduce filed exactly those dirty
+		// slots in bucket b, ascending by SPU, so each slot's float fold
+		// order is the serial reduction's. Marks are slot-indexed (slot r is
+		// touched only by the block owning r, so concurrent blocks write
+		// disjoint elements) and distinct-slot counts are worker-private.
 		c := &m.scr.mergePW[w]
 		counts := m.scr.redPW[w]
 		epoch := m.scr.epoch
-		for k := 0; k < m.plan.NumSPUs; k++ {
-			dl := m.dirtyLong[k]
-			if len(dl) == 0 {
-				continue
-			}
-			rep := m.replicas[k]
+		for _, key := range m.redBucket[b] {
+			k, r := int(key>>32), int32(uint32(key))
 			bf := m.bankOf[k]
-			marks := m.scr.bankSlotMark[bf]
-			for _, r := range dl {
-				if int(r) < lo || int(r) >= hi {
-					continue
-				}
-				old := m.logicAcc[r]
-				if m.sem.IsZero(old) {
-					c.logicDirty = append(c.logicDirty, r) //gearbox:alloc-ok recycled per-worker dirty list; grows to its high-water mark
-				}
-				m.logicAcc[r] = m.sem.Add(old, rep[r])
-				rep[r] = m.clean
-				if marks[r] != epoch {
-					marks[r] = epoch
-					counts[bf]++
-				}
+			old := m.logicAcc[r]
+			if m.sem.IsZero(old) {
+				c.logicDirty = append(c.logicDirty, r) //gearbox:alloc-ok recycled per-worker dirty list; grows to its high-water mark
+			}
+			//gearbox:nondet-ok r lies in block b: runStep6Reduce buckets slots by redBlockOf, and block b is claimed by exactly one worker per reduction; cross-checked by the CI -race job
+			m.logicAcc[r] = m.sem.Add(old, m.replicas[k][r])
+			//gearbox:nondet-ok r lies in block b: same bucket-routing invariant as logicAcc above
+			m.replicas[k][r] = m.clean
+			if marks := m.scr.bankSlotMark[bf]; marks[r] != epoch {
+				//gearbox:nondet-ok r lies in block b: same bucket-routing invariant as logicAcc above
+				marks[r] = epoch
+				counts[bf]++
 			}
 		}
 	}

@@ -184,19 +184,16 @@ func (m *Machine) step3SPUBody(w, k int) {
 		}
 		seqActs += int64(2*n)/int64(m.cfg.Geo.WordsPerRow()) + 1
 	}
-	for _, fe := range f.Long {
-		frag := m.plan.LongFrags[k][fe.Index]
-		spill := m.plan.LongRowSpill[k][fe.Index]
-		c.processedNNZ += int64(len(frag) + len(spill))
-		for _, fr := range frag {
-			accumulate(fr.Row, m.sem.Mul(fr.Val, fe.Value))
+	// Long activations: each item is one piece's fragment then spill, in
+	// frontier order (buildLongWork), so the fold order is the per-column
+	// walk's.
+	for _, it := range m.longWork[k] {
+		es := m.plan.LongEntries[it.lo:it.hi]
+		c.processedNNZ += int64(len(es))
+		for _, fr := range es {
+			accumulate(fr.Row, m.sem.Mul(fr.Val, it.val))
 		}
-		for _, fr := range spill {
-			accumulate(fr.Row, m.sem.Mul(fr.Val, fe.Value))
-		}
-		if n := len(frag) + len(spill); n > 0 {
-			seqActs += int64(2*n)/int64(m.cfg.Geo.WordsPerRow()) + 1
-		}
+		seqActs += int64(2*len(es))/int64(m.cfg.Geo.WordsPerRow()) + 1
 	}
 
 	m.busy[k] = float64(instr)*m.cyc + float64(randActs)*m.stallNs(m.instrCosts.macLocal)
@@ -210,6 +207,33 @@ func (m *Machine) step3SPUBody(w, k int) {
 		m.telLocal[k] = locA
 		m.telRemote[k] = remA
 		m.telLng[k] = lonA
+	}
+}
+
+// longItem is one entry of an SPU's step 3 worklist: the piece
+// LongEntries[lo:hi] (fragment then spill) scaled by the activating
+// frontier value.
+type longItem struct {
+	lo, hi int32
+	val    float32
+}
+
+// buildLongWork turns the frontier's long part, in its given order, into
+// the per-SPU worklists step3SPUBody walks. Only the pieces of activated
+// columns are visited, so the cost is O(activated pieces), not
+// O(|f.Long| x NumSPUs). Duplicate and unsorted activations keep their
+// order, so each SPU folds exactly the sequence the per-column walk did. An
+// index outside the long region activates nothing.
+//
+//gearbox:steadystate
+func (m *Machine) buildLongWork(f *Frontier) {
+	for _, fe := range f.Long {
+		if fe.Index < 0 || fe.Index > m.plan.LastLong {
+			continue
+		}
+		for _, pc := range m.plan.LongPiecesOf(fe.Index) {
+			m.longWork[pc.SPU] = append(m.longWork[pc.SPU], longItem{lo: pc.Lo, hi: pc.Hi, val: fe.Value}) //gearbox:alloc-ok recycled worklist; grows to its high-water mark
+		}
 	}
 }
 
@@ -256,6 +280,7 @@ func (m *Machine) step3LocalAccumulations(f *Frontier, st *IterStats) {
 	// after the drain: integers are order-insensitive, and the logic dirty
 	// list is sorted and deduped in step 6 before anything observable reads
 	// it.
+	m.buildLongWork(f)
 	nSPU := m.plan.NumSPUs
 	nc := (nSPU + m.chunkSPUs - 1) / m.chunkSPUs
 	if m.pool.Workers() == 1 || nc == 1 {

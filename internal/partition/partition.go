@@ -13,6 +13,7 @@ package partition
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 
@@ -123,7 +124,7 @@ type Config struct {
 	// Workers sizes the worker pool the build runs on (0 selects GOMAXPROCS,
 	// 1 forces the serial path). The plan is bit-identical at every worker
 	// count: the parallel pieces — permutation apply, CSC rebuild, ownership
-	// fill, and long-fragment sharding — are all pure functions of fixed
+	// fill, and the per-column long layout — are all pure functions of fixed
 	// index blocks.
 	Workers int
 }
@@ -173,11 +174,35 @@ type Plan struct {
 	// OwnerOf[v] is the flat compute-SPU index owning new label v, or -1
 	// for long-region labels (owned by the logic layer).
 	OwnerOf []int32
-	// LongFrags[k] holds the (row,value) fragments of long columns whose
-	// rows SPU k owns, grouped by column; LongRowSpill[k] holds long-column
-	// entries whose rows are themselves long (round-robined for balance).
-	LongFrags    []map[int32][]sparse.Entry
-	LongRowSpill []map[int32][]sparse.Entry
+	// LongEntries holds every long-column entry exactly once, column-major:
+	// ordered by (column, SPU, fragment before spill), within each of those
+	// runs in the column's storage order. Long columns are the first labels,
+	// so column c occupies the same span [Matrix.Offsets[c],
+	// Matrix.Offsets[c+1]) here as in the matrix.
+	LongEntries []sparse.Entry
+	// LongPieces[LongPieceStart[c]:LongPieceStart[c+1]] are long column c's
+	// pieces, one per SPU that holds any of its entries, strictly ascending
+	// by SPU and tiling the column's span of LongEntries (see LongPiece).
+	LongPieces     []LongPiece
+	LongPieceStart []int32
+	// LongFrags[k] and LongRowSpill[k] are SPU k's non-empty fragment and
+	// spill runs, as views into LongEntries in ascending column order: the
+	// (row,value) entries of long columns whose rows SPU k owns, and the
+	// long-column entries whose rows are themselves long (round-robined
+	// across SPUs for balance).
+	LongFrags    [][][]sparse.Entry
+	LongRowSpill [][][]sparse.Entry
+}
+
+// LongPiece is one long column's share on compute SPU SPU. The fragment
+// LongEntries[Lo:Mid] holds the column's entries whose rows SPU owns (the
+// accumulation is local, Fig. 2b); the spill LongEntries[Mid:Hi] holds the
+// long-row entries round-robined to SPU. A piece is never empty (Lo < Hi).
+type LongPiece struct{ SPU, Lo, Mid, Hi int32 }
+
+// LongPiecesOf returns long column c's pieces, ascending by SPU.
+func (p *Plan) LongPiecesOf(c int32) []LongPiece {
+	return p.LongPieces[p.LongPieceStart[c]:p.LongPieceStart[c+1]]
 }
 
 // SPUIDOf maps a flat compute-SPU index to its stack coordinates. Flat
@@ -259,7 +284,9 @@ func Build(m *sparse.CSC, geo mem.Geometry, cfg Config) (*Plan, error) {
 		}
 	})
 
-	p.buildLongFragments(pool)
+	if err := p.buildLongFragments(pool); err != nil {
+		return nil, err
+	}
 	return p, nil
 }
 
@@ -471,25 +498,34 @@ func rebalance(perSPU [][]int32, total int) {
 	}
 }
 
-// buildLongFragments distributes each long column's entries: entries whose
-// row is short go to the row's owner (so the accumulation is local, Fig. 2b);
+// buildLongFragments lays out each long column's entries: entries whose row
+// is short go to the row's owner (so the accumulation is local, Fig. 2b);
 // entries whose row is itself long are round-robined across SPUs and handled
 // by the LongEntryTreat path.
 //
-// The build is sharded by destination SPU: every worker scans the whole long
-// region but appends only the entries its SPU block owns, so each map is
-// written by exactly one worker and every per-column slice keeps the serial
-// (column-ascending, position-ascending) order. The round-robin target of a
-// spill entry is its global spill ordinal mod NumSPUs; the ordinal is the
-// column's spill-count prefix plus the entry's within-column spill rank —
-// both worker-independent — so the sharded build reproduces the serial `rr`
-// counter bit for bit.
-func (p *Plan) buildLongFragments(pool *par.Pool) {
-	p.LongFrags = make([]map[int32][]sparse.Entry, p.NumSPUs)
-	p.LongRowSpill = make([]map[int32][]sparse.Entry, p.NumSPUs)
+// The layout is built without maps in three passes over the long columns,
+// each parallel by column with worker-private tallies. Pass 1 counts each
+// column's spill entries; their prefix spillBase gives the round-robin
+// target of a spill entry as (column prefix + within-column spill rank) mod
+// NumSPUs, the serial global round-robin counter reproduced bit for bit at
+// any worker count. Pass 2 counts each column's pieces, and its prefix sizes
+// LongPieces exactly. Pass 3 re-tallies each column and writes its pieces
+// and entries into the column's own spans, so every column is written by
+// exactly one worker. The per-SPU views are then cut serially in column
+// order.
+func (p *Plan) buildLongFragments(pool *par.Pool) error {
 	nLong := int(p.LastLong + 1)
-	// Per-column spill counts, then prefix: spillBase[c] is the global
-	// round-robin ordinal of column c's first long-row entry.
+	// colStart[c] is long column c's offset in LongEntries: its matrix
+	// offset, since long columns are the first labels. Pieces index
+	// LongEntries with int32 offsets, so the long region must fit.
+	colStart := make([]int32, nLong+1)
+	for c := range colStart {
+		o := p.Matrix.Offsets[c]
+		if o > math.MaxInt32 {
+			return fmt.Errorf("partition: long columns hold more than %d entries, the long layout's limit", math.MaxInt32)
+		}
+		colStart[c] = int32(o)
+	}
 	spillBase := make([]int, nLong+1)
 	pool.ForEach(nLong, func(_, ci int) {
 		rows, _ := p.Matrix.Col(int32(ci)) //gearbox:narrow-ok ci < nLong <= NumCols, an int32
@@ -512,33 +548,140 @@ func (p *Plan) buildLongFragments(pool *par.Pool) {
 	for c := 0; c < nLong; c++ {
 		spillBase[c+1] += spillBase[c]
 	}
-	pool.ForEachBlock(p.NumSPUs, func(_, klo, khi int) {
-		for k := klo; k < khi; k++ {
-			p.LongFrags[k] = map[int32][]sparse.Entry{}
-			p.LongRowSpill[k] = map[int32][]sparse.Entry{}
-		}
-		//gearbox:narrow-ok nLong = LastLong+1 comes from an int32 column id
-		for c := int32(0); c < int32(nLong); c++ {
-			rows, vals := p.Matrix.Col(c)
-			rr := spillBase[c]
-			for i, r := range rows.All() {
-				owner := int(p.OwnerOf[r])
-				if owner < 0 {
-					owner = rr % p.NumSPUs
-					rr++
-					if owner >= klo && owner < khi {
-						p.LongRowSpill[owner][c] = append(p.LongRowSpill[owner][c],
-							sparse.Entry{Row: r, Col: c, Val: vals[i]})
-					}
-					continue
-				}
-				if owner >= klo && owner < khi {
-					p.LongFrags[owner][c] = append(p.LongFrags[owner][c],
-						sparse.Entry{Row: r, Col: c, Val: vals[i]})
-				}
-			}
-		}
+
+	tallies := make([]pieceTally, pool.Workers())
+	for w := range tallies {
+		tallies[w] = pieceTally{frag: make([]int32, p.NumSPUs), spill: make([]int32, p.NumSPUs)}
+	}
+	p.LongPieceStart = make([]int32, nLong+1)
+	pool.ForEach(nLong, func(w, ci int) {
+		t := &tallies[w]
+		p.LongPieceStart[ci+1] = t.count(p, ci, spillBase[ci])
+		t.clear()
 	})
+	for c := 0; c < nLong; c++ {
+		p.LongPieceStart[c+1] += p.LongPieceStart[c]
+	}
+
+	p.LongEntries = make([]sparse.Entry, colStart[nLong])
+	p.LongPieces = make([]LongPiece, p.LongPieceStart[nLong])
+	pool.ForEach(nLong, func(w, ci int) {
+		t := &tallies[w]
+		t.count(p, ci, spillBase[ci])
+		lo, hi := colStart[ci], colStart[ci+1]
+		t.fill(p, ci, spillBase[ci], lo, p.LongEntries[lo:hi],
+			p.LongPieces[p.LongPieceStart[ci]:p.LongPieceStart[ci+1]])
+	})
+	p.cutLongViews()
+	return nil
+}
+
+// pieceTally is one worker's per-column scratch for buildLongFragments:
+// per-SPU fragment and spill counts (zero between columns) and the SPUs the
+// current column touches.
+type pieceTally struct {
+	frag, spill []int32
+	touched     []int32
+}
+
+// count tallies long column ci's entries per SPU, leaves the touched SPUs
+// ascending in t.touched and returns how many there are (the column's piece
+// count). rr is the round-robin ordinal of the column's first spill entry.
+func (t *pieceTally) count(p *Plan, ci, rr int) int32 {
+	t.touched = t.touched[:0]
+	var n int32
+	rows, _ := p.Matrix.Col(int32(ci)) //gearbox:narrow-ok ci < nLong <= NumCols, an int32
+	for _, r := range rows.All() {
+		k := p.OwnerOf[r]
+		tally := t.frag
+		if k < 0 {
+			k = int32(rr % p.NumSPUs) //gearbox:narrow-ok a residue mod NumSPUs is an SPU ordinal
+			rr++
+			tally = t.spill
+		}
+		if t.frag[k] == 0 && t.spill[k] == 0 {
+			t.touched = append(t.touched, k)
+			n++
+		}
+		tally[k]++
+	}
+	slices.Sort(t.touched)
+	return n
+}
+
+// clear zeroes the counts count left behind.
+func (t *pieceTally) clear() {
+	for _, k := range t.touched {
+		t.frag[k], t.spill[k] = 0, 0
+	}
+}
+
+// fill writes long column ci's pieces and entries from the counts of a
+// preceding count call, then clears them. entries is the column's span of
+// LongEntries, starting at offset base; pieces is its span of LongPieces.
+func (t *pieceTally) fill(p *Plan, ci, rr int, base int32, entries []sparse.Entry, pieces []LongPiece) {
+	// Turn the counts into per-SPU write cursors (relative to the span).
+	off := int32(0)
+	for i, k := range t.touched {
+		nf, ns := t.frag[k], t.spill[k]
+		lo := base + off
+		pieces[i] = LongPiece{SPU: k, Lo: lo, Mid: lo + nf, Hi: lo + nf + ns}
+		t.frag[k], t.spill[k] = off, off+nf
+		off += nf + ns
+	}
+	c := int32(ci) //gearbox:narrow-ok ci < nLong <= NumCols, an int32
+	rows, vals := p.Matrix.Col(c)
+	for i, r := range rows.All() {
+		cursor := t.frag
+		k := p.OwnerOf[r]
+		if k < 0 {
+			k = int32(rr % p.NumSPUs) //gearbox:narrow-ok a residue mod NumSPUs is an SPU ordinal
+			rr++
+			cursor = t.spill
+		}
+		entries[cursor[k]] = sparse.Entry{Row: r, Col: c, Val: vals[i]}
+		cursor[k]++
+	}
+	t.clear()
+}
+
+// cutLongViews slices LongEntries into the per-SPU LongFrags and
+// LongRowSpill views, each SPU's runs in ascending column order. Two
+// backing arrays hold every view, so the views cost one slice header per
+// non-empty run.
+func (p *Plan) cutLongViews() {
+	nFrag := make([]int, p.NumSPUs+1)
+	nSpill := make([]int, p.NumSPUs+1)
+	for _, pc := range p.LongPieces {
+		if pc.Mid > pc.Lo {
+			nFrag[pc.SPU+1]++
+		}
+		if pc.Hi > pc.Mid {
+			nSpill[pc.SPU+1]++
+		}
+	}
+	for k := 0; k < p.NumSPUs; k++ {
+		nFrag[k+1] += nFrag[k]
+		nSpill[k+1] += nSpill[k]
+	}
+	frags := make([][]sparse.Entry, nFrag[p.NumSPUs])
+	spills := make([][]sparse.Entry, nSpill[p.NumSPUs])
+	p.LongFrags = make([][][]sparse.Entry, p.NumSPUs)
+	p.LongRowSpill = make([][][]sparse.Entry, p.NumSPUs)
+	for k := 0; k < p.NumSPUs; k++ {
+		p.LongFrags[k] = frags[nFrag[k]:nFrag[k]:nFrag[k+1]]
+		p.LongRowSpill[k] = spills[nSpill[k]:nSpill[k]:nSpill[k+1]]
+	}
+	// Pieces are column-major, so appending in piece order leaves each
+	// SPU's runs in ascending column order.
+	for _, pc := range p.LongPieces {
+		if pc.Mid > pc.Lo {
+			p.LongFrags[pc.SPU] = append(p.LongFrags[pc.SPU], p.LongEntries[pc.Lo:pc.Mid:pc.Mid])
+		}
+		if pc.Hi > pc.Mid {
+			p.LongRowSpill[pc.SPU] = append(p.LongRowSpill[pc.SPU], p.LongEntries[pc.Mid:pc.Hi:pc.Hi])
+		}
+	}
 }
 
 // Validate checks the structural invariants the machine relies on; property
@@ -575,37 +718,63 @@ func (p *Plan) Validate() error {
 			return fmt.Errorf("partition: label %d owner %d inconsistent with ranges", v, owner)
 		}
 	}
-	// Every long-column entry appears in exactly one fragment list.
-	var fragCount int64
-	for k := 0; k < p.NumSPUs; k++ {
-		//gearbox:nondet-ok validation walk: integer count plus error-or-nil, both order-insensitive
-		for c, es := range p.LongFrags[k] {
-			if c > p.LastLong {
-				return fmt.Errorf("partition: fragment for non-long column %d", c)
-			}
-			for _, e := range es {
-				if p.OwnerOf[e.Row] != int32(k) {
-					return fmt.Errorf("partition: SPU %d holds fragment row %d owned by %d", k, e.Row, p.OwnerOf[e.Row])
-				}
-			}
-			fragCount += int64(len(es))
+	return p.validateLongLayout()
+}
+
+// validateLongLayout checks the column-major long layout: every long
+// column's pieces are strictly ascending by SPU and tile the column's span
+// of LongEntries; fragment rows belong to the piece's SPU and spill rows are
+// long; every entry carries its column, and every long-column entry of the
+// matrix appears exactly once.
+func (p *Plan) validateLongLayout() error {
+	nLong := int(p.LastLong + 1)
+	if len(p.LongPieceStart) != nLong+1 || p.LongPieceStart[0] != 0 ||
+		int(p.LongPieceStart[nLong]) != len(p.LongPieces) {
+		return fmt.Errorf("partition: piece table has %d starts for %d pieces, want %d starts", len(p.LongPieceStart), len(p.LongPieces), nLong+1)
+	}
+	if int64(len(p.LongEntries)) != p.Matrix.Offsets[nLong] {
+		return fmt.Errorf("partition: long layout holds %d entries, long columns hold %d", len(p.LongEntries), p.Matrix.Offsets[nLong])
+	}
+	// mark[r] is c+1 while row r of long column c is unseen, -(c+1) once seen.
+	mark := make([]int32, p.Matrix.NumRows)
+	for c := int32(0); c <= p.LastLong; c++ {
+		if p.LongPieceStart[c+1] < p.LongPieceStart[c] {
+			return fmt.Errorf("partition: column %d piece range is reversed", c)
 		}
-		//gearbox:nondet-ok validation walk: integer count plus error-or-nil, both order-insensitive
-		for _, es := range p.LongRowSpill[k] {
-			for _, e := range es {
-				if p.OwnerOf[e.Row] != -1 {
+		rows, _ := p.Matrix.Col(c)
+		for _, r := range rows.All() {
+			mark[r] = c + 1
+		}
+		next := p.Matrix.Offsets[c]
+		prevSPU := int32(-1)
+		for _, pc := range p.LongPiecesOf(c) {
+			if pc.SPU <= prevSPU || int(pc.SPU) >= p.NumSPUs {
+				return fmt.Errorf("partition: column %d piece on SPU %d after SPU %d, want strictly ascending SPUs below %d", c, pc.SPU, prevSPU, p.NumSPUs)
+			}
+			prevSPU = pc.SPU
+			if int64(pc.Lo) != next || pc.Mid < pc.Lo || pc.Hi < pc.Mid || pc.Hi == pc.Lo {
+				return fmt.Errorf("partition: column %d piece %+v does not continue its span at %d", c, pc, next)
+			}
+			next = int64(pc.Hi)
+			for i, e := range p.LongEntries[pc.Lo:pc.Hi] {
+				switch {
+				case e.Col != c:
+					return fmt.Errorf("partition: column %d piece on SPU %d holds an entry of column %d", c, pc.SPU, e.Col)
+				case e.Row < 0 || e.Row >= p.Matrix.NumRows || mark[e.Row] == -(c+1):
+					return fmt.Errorf("partition: column %d entry row %d appears more than once", c, e.Row)
+				case mark[e.Row] != c+1:
+					return fmt.Errorf("partition: column %d holds row %d, which the matrix column lacks", c, e.Row)
+				case int32(i) < pc.Mid-pc.Lo && p.OwnerOf[e.Row] != pc.SPU:
+					return fmt.Errorf("partition: SPU %d holds fragment row %d owned by %d", pc.SPU, e.Row, p.OwnerOf[e.Row])
+				case int32(i) >= pc.Mid-pc.Lo && p.OwnerOf[e.Row] != -1:
 					return fmt.Errorf("partition: spill entry row %d is not long", e.Row)
 				}
+				mark[e.Row] = -(c + 1)
 			}
-			fragCount += int64(len(es))
 		}
-	}
-	var wantFrag int64
-	for c := int32(0); c <= p.LastLong; c++ {
-		wantFrag += int64(p.Matrix.ColLen(c))
-	}
-	if fragCount != wantFrag {
-		return fmt.Errorf("partition: fragments hold %d entries, long columns hold %d", fragCount, wantFrag)
+		if next != p.Matrix.Offsets[c+1] {
+			return fmt.Errorf("partition: column %d pieces end at %d, want %d", c, next, p.Matrix.Offsets[c+1])
+		}
 	}
 	return nil
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // planEqual deep-compares everything a Plan derives from the matrix: the
-// relabeled arrays, permutation, ranges, ownership, and both fragment maps
-// (per-column slices compared element-wise, in map-key order).
+// relabeled arrays, permutation, ranges, ownership, the long layout and
+// both per-SPU view sets.
 func planEqual(t *testing.T, a, b *Plan) {
 	t.Helper()
 	if !slices.Equal(a.Matrix.Offsets, b.Matrix.Offsets) ||
@@ -24,30 +24,23 @@ func planEqual(t *testing.T, a, b *Plan) {
 	if a.LastLong != b.LastLong || !slices.Equal(a.Ranges, b.Ranges) || !slices.Equal(a.OwnerOf, b.OwnerOf) {
 		t.Fatal("ranges or ownership differ")
 	}
-	fragsEqual := func(x, y []map[int32][]sparse.Entry) {
+	if !slices.Equal(a.LongEntries, b.LongEntries) || !slices.Equal(a.LongPieces, b.LongPieces) ||
+		!slices.Equal(a.LongPieceStart, b.LongPieceStart) {
+		t.Fatal("long layouts differ")
+	}
+	viewsEqual := func(x, y [][][]sparse.Entry) {
 		t.Helper()
 		if len(x) != len(y) {
-			t.Fatal("fragment map counts differ")
+			t.Fatal("view SPU counts differ")
 		}
 		for k := range x {
-			if len(x[k]) != len(y[k]) {
-				t.Fatalf("SPU %d: fragment column sets differ", k)
-			}
-			cols := make([]int32, 0, len(x[k]))
-			//gearbox:nondet-ok keys are sorted before comparison
-			for c := range x[k] {
-				cols = append(cols, c)
-			}
-			slices.Sort(cols)
-			for _, c := range cols {
-				if !slices.Equal(x[k][c], y[k][c]) {
-					t.Fatalf("SPU %d column %d: fragments differ", k, c)
-				}
+			if !slices.EqualFunc(x[k], y[k], slices.Equal) {
+				t.Fatalf("SPU %d: views differ", k)
 			}
 		}
 	}
-	fragsEqual(a.LongFrags, b.LongFrags)
-	fragsEqual(a.LongRowSpill, b.LongRowSpill)
+	viewsEqual(a.LongFrags, b.LongFrags)
+	viewsEqual(a.LongRowSpill, b.LongRowSpill)
 }
 
 func TestBuildWorkersEquivalent(t *testing.T) {
@@ -96,12 +89,15 @@ func TestBuildMatchesPreRefactorRoundRobin(t *testing.T) {
 			}
 			k := rr % p.NumSPUs
 			rr++
-			es := p.LongRowSpill[k][c]
 			found := false
-			for _, e := range es {
-				if e.Row == r && e.Val == vals[i] {
-					found = true
-					break
+			for _, pc := range p.LongPiecesOf(c) {
+				if int(pc.SPU) != k {
+					continue
+				}
+				for _, e := range p.LongEntries[pc.Mid:pc.Hi] {
+					if e.Row == r && e.Val == vals[i] {
+						found = true
+					}
 				}
 			}
 			if !found {
