@@ -17,7 +17,7 @@
 //     memory do NOT propagate it: a value loaded via the worker's range is
 //     the worker's data, not a proof it stays inside the worker's range.
 //   - alias taint: references reached through a parameter-indexed path
-//     (`e := &m.emit[k]`, `perBank := m.scr.mergePW[w].perBank`,
+//     (`e := &m.emit[k]`, `c := &m.scr.mergePW[w]`,
 //     `rep := m.replica(k)`), plus selectors of such values
 //     (`r := m.plan.Ranges[k]; v := r.First` keeps v index-tainted).
 //
@@ -28,8 +28,9 @@
 // index-tainted bound — the `if int(idx) < lo || int(idx) >= hi { continue }`
 // and `case owner == int32(k):` ownership shapes. Everything else is
 // reported. Sites whose safety rests on a dynamic sharding invariant the
-// analyzer cannot see (destination-bucket draining, dispatcher routing)
-// carry //gearbox:nondet-ok <reason>; the CI -race job is their dynamic
+// analyzer cannot see (a destination read out of a per-block bucket: the
+// step 5 fold of dispatched pairs, the step 6 replica reduction) carry
+// //gearbox:nondet-ok <reason>; the CI -race job is their dynamic
 // cross-check.
 package sharedwrite
 
@@ -382,7 +383,7 @@ func (c *checker) mentionsAnyTaint(e ast.Expr) bool {
 
 // aliasExpr reports whether e yields a reference into worker-owned memory:
 // an expression rooted at captured state with an index-tainted index or
-// slice bound on its path (`m.emit[k]`, `m.scr.mergePW[w].perBank`,
+// slice bound on its path (`m.emit[k]`, `m.scr.redPW[w]`,
 // `buf[lo:hi]`), an address of such, a selector/index of an alias-tainted
 // local, or a call passing an index-tainted argument (`m.replica(k)`).
 func (c *checker) aliasExpr(e ast.Expr) bool {

@@ -24,6 +24,7 @@ import (
 
 	"gearbox/internal/gen"
 	"gearbox/internal/mtx"
+	"gearbox/internal/obs"
 	"gearbox/internal/sparse"
 )
 
@@ -43,7 +44,7 @@ type PerfEntry struct {
 	// simulator, as opposed to the simulated machine. Noisy across hosts;
 	// diffed with tolerance, never exactly. HostWallNs is the serial
 	// (Workers=1) wall time; HostWallParNs re-runs the same cell on the
-	// pipelined engine at Workers=GOMAXPROCS — the two columns together are
+	// worker pool at Workers=GOMAXPROCS — the two columns together are
 	// the host-speedup trajectory of the parallel iteration engine. The
 	// simulated metrics are bit-identical between the two runs (the
 	// equivalence suite enforces it), so only the serial run's are reported.
@@ -116,9 +117,9 @@ func hostMeasure(fn func() error) (IngestPathStats, error) {
 			}
 		}
 	}()
-	start := time.Now()
+	start := obs.Now()
 	err := fn()
-	wall := time.Since(start).Nanoseconds()
+	wall := obs.Since(start).Nanoseconds()
 	close(stop)
 	wg.Wait()
 	var after runtime.MemStats
@@ -212,7 +213,7 @@ func (s *Suite) Perf() (Table, PerfReport, error) {
 		Notes: []string{
 			"simulated columns are deterministic: any diff against a prior BENCH_perf.json is a modeling change",
 			"host_* columns are machine-dependent; compare with tolerance",
-			fmt.Sprintf("host_ms runs Workers=1, host_par_ms the pipelined engine at Workers=GOMAXPROCS (%d here); simulated results are bit-identical between the two", runtime.GOMAXPROCS(0)),
+			fmt.Sprintf("host_ms runs Workers=1, host_par_ms the worker pool at Workers=GOMAXPROCS (%d here); simulated results are bit-identical between the two", runtime.GOMAXPROCS(0)),
 		},
 	}
 	rep := PerfReport{Size: s.Cfg.Size.String()}

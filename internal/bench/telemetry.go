@@ -130,8 +130,10 @@ func heatmapNote(name string, sp *telemetry.SpatialStats) string {
 
 // PoolStats reports the host-side balance of the worker pool that ran the
 // simulation: per-worker wall time inside step loops, block counts, and the
-// share of time spent in the ordered merges. Numbers are host measurements
-// and vary run to run; the simulated results they accompany do not.
+// share of time spent in the block-sharded regions (the logic-layer merges,
+// step 5's pair fold and step 6's replica reduction). Numbers are host
+// measurements and vary run to run; the simulated results they accompany do
+// not.
 func (s *Suite) PoolStats() (Table, map[string]float64, error) {
 	t := Table{
 		Title:  "Pool stats: host-side worker balance (BFS on first dataset, GearboxV3)",
@@ -172,14 +174,14 @@ func (s *Suite) PoolStats() (Table, map[string]float64, error) {
 	}
 	out["merge_share"] = mergeShare
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("%d parallel regions + %d merge regions; merges took %.2f ms (%.1f%% of worker busy time)",
+		fmt.Sprintf("%d parallel regions + %d merge regions (logic merges, step 5 fold, step 6 reduce); merges took %.2f ms (%.1f%% of worker busy time)",
 			stats.Regions, stats.MergeRegions, float64(stats.MergeNs)/1e6, mergeShare))
 
 	// Dynamic-scheduling occupancy: how the chunk dispensers balanced the
-	// skew, and how much of the run two pipeline stages were genuinely
-	// concurrent. Steals are chunks claimed by a worker other than the one a
-	// static partition would have assigned — the work the old engine
-	// serialized on its slowest shard.
+	// skew, and how much of the run step 6's replica reduction and frontier
+	// emission were genuinely concurrent. Steals are chunks claimed by a
+	// worker other than the one a static partition would have assigned —
+	// the work the old engine serialized on its slowest shard.
 	stealShare := 0.0
 	if stats.DynChunks > 0 {
 		stealShare = 100 * float64(stats.Steals) / float64(stats.DynChunks)
@@ -191,16 +193,9 @@ func (s *Suite) PoolStats() (Table, map[string]float64, error) {
 	out["steal_share"] = stealShare
 	out["overlap_share"] = overlapShare
 	t.Notes = append(t.Notes, fmt.Sprintf(
-		"dynamic scheduling: %d chunks over %d dynamic regions, %d stolen (%.1f%%); compute/merge overlap %.2f ms (%.1f%% of busy time)",
+		"dynamic scheduling: %d chunks over %d dynamic regions, %d stolen (%.1f%%); step 6 reduce/emit overlap %.2f ms (%.1f%% of busy time)",
 		stats.DynChunks, stats.DynRegions, stats.Steals, stealShare,
 		float64(stats.OverlapNs)/1e6, overlapShare))
-	if ps := mach.PipelineStats(); ps.Runs > 0 {
-		t.Notes = append(t.Notes, fmt.Sprintf(
-			"step-3 pipeline: %d runs, %d chunks of %d SPUs, max %d chunks in flight (double-buffer cap 2)",
-			ps.Runs, ps.Chunks, ps.ChunkSPUs, ps.InFlightMax))
-	} else {
-		t.Notes = append(t.Notes, "step-3 pipeline: not engaged (serial pool or single chunk)")
-	}
 	t.Notes = append(t.Notes,
 		"host wall-time measurements (diagnostic); simulated results are unaffected by worker count")
 	return t, out, nil

@@ -112,17 +112,6 @@ type Config struct {
 	// frontiers, outputs) are bit-identical for every value; see DESIGN.md
 	// "Execution model" for the merge-order rules that guarantee it.
 	Workers int
-	// PipelineChunkSPUs is the source-SPU chunk width of the step 3
-	// compute/merge software pipeline (DESIGN.md "Pipelined execution"):
-	// step 3 computes the frontier in chunks of this many SPUs, and the
-	// merge of chunk c overlaps the compute of chunk c+1. 0 selects an
-	// automatic width (about eight chunks per iteration); > 0 pins the
-	// width (clamped to NumSPUs); < 0 forces a single chunk, disabling the
-	// overlap. Simulated results are bit-identical at every setting — the
-	// merge folds chunks in (chunk, ascending source SPU) order, which is
-	// globally ascending source SPU, the serial order — so the knob only
-	// moves host wall time.
-	PipelineChunkSPUs int
 }
 
 // DefaultConfig returns the Table 2 machine: default geometry/timing and a
@@ -174,34 +163,17 @@ type Machine struct {
 	// long pieces this iteration's frontier activates on SPU k, in frontier
 	// order (buildLongWork).
 	longWork [][]longItem
-	// Step 4/5 receive buffers, SoA: recvIdx[k] holds encoded row indexes
-	// (enc >= 0 is a remote accumulation of row enc; enc < 0 a local
-	// clean-indicator pair of row ^enc) and recvVal[k] the aligned values —
-	// 8 bytes per routed pair where the old AoS routedPair took 16.
-	recvIdx [][]int32
-	recvVal [][]float32
-	emit    []spuEmit // step 3 per-SPU out-buckets, merged in SPU order
-	// dstBlockOf maps a destination SPU to the guided merge block that owns
-	// it in fnMergePairs' ForEachBlockDynamic partition (stable for a fixed
-	// pool width); step 3 buckets its pairs by it so the merge reads
+	emit     []spuEmit // step 3 per-SPU out-buckets, folded in SPU order
+	// emitters lists, ascending, the SPUs whose step 3 sent dispatcher
+	// pairs this iteration; step 5 folds only their buckets.
+	emitters []int32
+	// dstBlockOf maps a destination SPU to the guided block that owns it in
+	// step 5's ForEachBlockDynamic partition (stable for a fixed pool
+	// width); step 3 buckets its pairs by it so the fold of block b reads
 	// contiguous runs instead of filtering every pair once per worker.
 	dstBlockOf []int32
-	scr        scratch // pooled per-iteration accounting buffers
-
-	// Step 3 software pipeline (pipeline.go): chunkSPUs is the resolved
-	// source-SPU chunk width, chunkBase the base SPU of the chunk the
-	// compute region is currently running (read by fnStep3Chunk), and
-	// mergeLo/mergeHi the source window [lo, hi) the merge stage is
-	// currently draining (read by the fnMerge* bodies). chunkBase is
-	// written only between compute regions on the Iterate goroutine;
-	// mergeLo/mergeHi only between merge passes on the merge-stage
-	// goroutine — both are published to the pool workers by the region
-	// fork.
-	chunkSPUs        int
-	chunkBase        int
-	mergeLo, mergeHi int
-	pipe             pipeline
-	reduceWG         sync.WaitGroup
+	scr        scratch        // pooled per-iteration accounting buffers
+	reduceWG   sync.WaitGroup // joins step 6's reduce-stage goroutine
 
 	// Plan facts cached at New so the worker bodies read fields instead of
 	// recomputing per call.
@@ -224,13 +196,12 @@ type Machine struct {
 	curNext  *Frontier
 	iterSt   IterStats
 
-	fnStep2, fnStep3, fnStep5   func(w, k int)
-	fnApply, fnEmit             func(w, k int)
-	fnStep3Chunk                func(w, i int)
-	fnMergePairs, fnMergeLogic  func(w, b, lo, hi int)
-	fnMergeHypoShort            func(w, b, lo, hi int)
-	fnReduceRep                 func(w, b, lo, hi int)
-	fnMergeStage, fnReduceStage func()
+	fnStep2, fnStep3      func(w, k int)
+	fnApply, fnEmit       func(w, k int)
+	fnStep5, fnMergeLogic func(w, b, lo, hi int)
+	fnMergeHypoShort      func(w, b, lo, hi int)
+	fnReduceRep           func(w, b, lo, hi int)
+	fnReduceStage         func()
 
 	instrCosts costs
 
@@ -245,11 +216,11 @@ type Machine struct {
 
 // spuEmit buffers the shared-state effects SPU k's step 3 loop produces, so
 // the loop itself can run on any worker goroutine while the effects are
-// folded after the barrier in fixed SPU order (bit-identical to the serial
-// path). The layouts are SoA: packed 8-byte keys plus a parallel value
-// array stream through the merge in cache-line-sized runs, where the old
-// 20-byte dstPair structs wasted half of every line on padding and the
-// srcSPU field (derivable from the bucket being scanned).
+// folded later in fixed SPU order (bit-identical to the serial path): the
+// logic-layer contributions after step 3's barrier, the dispatcher pairs by
+// step 5 straight out of the buckets. The layouts are SoA: packed 8-byte
+// keys plus a parallel value array stream through the fold in
+// cache-line-sized runs.
 type spuEmit struct {
 	// bKey[b]/bVal[b] hold the dispatcher traffic bound for destination
 	// block b — local clean-indicator pairs (dst == k) and remote
@@ -340,8 +311,6 @@ func New(plan *partition.Plan, sem semiring.Semiring, cfg Config) (*Machine, err
 		dirty:      make([][]int32, plan.NumSPUs),
 		dirtyLong:  make([][]int32, plan.NumSPUs),
 		longWork:   make([][]longItem, plan.NumSPUs),
-		recvIdx:    make([][]int32, plan.NumSPUs),
-		recvVal:    make([][]float32, plan.NumSPUs),
 		emit:       make([]spuEmit, plan.NumSPUs),
 		hypo:       plan.Cfg.Scheme == partition.HypoLogicLayer,
 		replicate:  plan.Cfg.Replicate,
@@ -369,23 +338,8 @@ func New(plan *partition.Plan, sem semiring.Semiring, cfg Config) (*Machine, err
 			m.replicas = make([][]float32, plan.NumSPUs)
 		}
 	}
-	m.chunkSPUs = resolvePipelineChunk(cfg.PipelineChunkSPUs, plan.NumSPUs)
-	m.pipe.cond = sync.NewCond(&m.pipe.mu)
 	m.initScratch()
 	return m, nil
-}
-
-// resolvePipelineChunk maps the PipelineChunkSPUs knob to an effective chunk
-// width in [1, nSPU]; see the Config field for the encoding.
-func resolvePipelineChunk(cfg, nSPU int) int {
-	switch {
-	case cfg < 0 || cfg >= nSPU:
-		return nSPU
-	case cfg == 0:
-		return (nSPU + 7) / 8
-	default:
-		return cfg
-	}
 }
 
 // Plan exposes the partition plan (read-only by convention).
@@ -617,7 +571,7 @@ func (m *Machine) stepTelemetry(step int) {
 		m.tel.DispatchOccupancy(3, now, m.scr.recvPerBank)
 		m.tel.LinkWords(3, now, m.net.RingSegmentWords(), m.net.TSVVaultWords())
 	case 4:
-		m.tel.DispatchOccupancy(4, now, m.scr.bankPairs)
+		m.tel.DispatchOccupancy(4, now, m.scr.recvPerBank)
 		m.tel.LinkWords(4, now, m.net.RingSegmentWords(), m.net.TSVVaultWords())
 	case 5:
 		m.tel.StepSPUBusy(5, now, m.busy)
@@ -645,8 +599,6 @@ func (m *Machine) resetScratch() {
 		m.dirty[k] = m.dirty[k][:0]
 		m.dirtyLong[k] = m.dirtyLong[k][:0]
 		m.longWork[k] = m.longWork[k][:0]
-		m.recvIdx[k] = m.recvIdx[k][:0]
-		m.recvVal[k] = m.recvVal[k][:0]
 		e := &m.emit[k]
 		for b := range e.bKey {
 			e.bKey[b] = e.bKey[b][:0]

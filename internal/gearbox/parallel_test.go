@@ -49,6 +49,14 @@ func machineWithWorkers(t *testing.T, m *sparse.CSC, pcfg partition.Config, sem 
 // returns every iteration's stats and frontier, for exact comparison.
 func runChained(t *testing.T, mach *Machine, entries []FrontierEntry, iters int) ([]IterStats, []*Frontier) {
 	t.Helper()
+	return runChain(t, mach, entries, iters, true)
+}
+
+// runChain is runChained with the dense apply of the second iteration
+// optional: without it the chain stays frontier-driven throughout, the
+// shape of SSSP and BFS.
+func runChain(t *testing.T, mach *Machine, entries []FrontierEntry, iters int, apply bool) ([]IterStats, []*Frontier) {
+	t.Helper()
 	var stats []IterStats
 	var frontiers []*Frontier
 	n := mach.Plan().Matrix.NumRows
@@ -58,7 +66,7 @@ func runChained(t *testing.T, mach *Machine, entries []FrontierEntry, iters int)
 			t.Fatal(err)
 		}
 		opts := IterateOptions{}
-		if i == 1 {
+		if apply && i == 1 {
 			// One dense iteration exercises the sharded apply path.
 			y := make([]float32, n)
 			for j := range y {
@@ -90,26 +98,45 @@ func runChained(t *testing.T, mach *Machine, entries []FrontierEntry, iters int)
 // Table 4 version, a multi-iteration run on the worker pool produces
 // bit-identical IterStats (including float times) and frontiers to the
 // serial path, at every swept worker count (2, an odd width, and
-// GOMAXPROCS).
+// GOMAXPROCS). Each version runs two input shapes: a PageRank-like random
+// plus-times frontier with one dense apply, and an SSSP-like min-plus chain
+// grown from three sources, whose sparse frontiers leave most SPUs idle and
+// make the per-destination row-activation tally and the clean-indicator
+// pairs depend on how sparse pairs are sharded.
 func TestParallelMatchesSerialAllVersions(t *testing.T) {
 	m := testMatrix(t, 21)
-	entries := randomFrontier(m.NumRows, 50, 13)
+	inputs := []struct {
+		name    string
+		sem     semiring.Semiring
+		entries []FrontierEntry
+		iters   int
+		apply   bool
+	}{
+		{"plustimes-random", semiring.PlusTimes{}, randomFrontier(m.NumRows, 50, 13), 3, true},
+		{"minplus-sources", semiring.MinPlus{}, []FrontierEntry{
+			{Index: 0, Value: 0}, {Index: m.NumRows / 2, Value: 0.5}, {Index: m.NumRows - 1, Value: 1.25},
+		}, 6, false},
+	}
 	for _, vc := range versionConfigs() {
 		t.Run(vc.name, func(t *testing.T) {
-			serial := machineWithWorkers(t, m, vc.cfg, semiring.PlusTimes{}, 1, nil)
-			stS, frS := runChained(t, serial, entries, 3)
-			for _, workers := range []int{2, 4, 0} {
-				parallel := machineWithWorkers(t, m, vc.cfg, semiring.PlusTimes{}, workers, nil)
-				stP, frP := runChained(t, parallel, entries, 3)
-				if !reflect.DeepEqual(stS, stP) {
-					t.Fatalf("IterStats diverge between Workers=1 and Workers=%d:\nserial:   %+v\nparallel: %+v", workers, stS, stP)
-				}
-				if !reflect.DeepEqual(frS, frP) {
-					t.Fatalf("frontiers diverge between Workers=1 and Workers=%d", workers)
-				}
-				if serial.NowNs() != parallel.NowNs() {
-					t.Fatalf("clocks diverge at Workers=%d: %v vs %v", workers, serial.NowNs(), parallel.NowNs())
-				}
+			for _, in := range inputs {
+				t.Run(in.name, func(t *testing.T) {
+					serial := machineWithWorkers(t, m, vc.cfg, in.sem, 1, nil)
+					stS, frS := runChain(t, serial, in.entries, in.iters, in.apply)
+					for _, workers := range []int{2, 4, 0} {
+						parallel := machineWithWorkers(t, m, vc.cfg, in.sem, workers, nil)
+						stP, frP := runChain(t, parallel, in.entries, in.iters, in.apply)
+						if !reflect.DeepEqual(stS, stP) {
+							t.Fatalf("IterStats diverge between Workers=1 and Workers=%d:\nserial:   %+v\nparallel: %+v", workers, stS, stP)
+						}
+						if !reflect.DeepEqual(frS, frP) {
+							t.Fatalf("frontiers diverge between Workers=1 and Workers=%d", workers)
+						}
+						if serial.NowNs() != parallel.NowNs() {
+							t.Fatalf("clocks diverge at Workers=%d: %v vs %v", workers, serial.NowNs(), parallel.NowNs())
+						}
+					}
+				})
 			}
 		})
 	}
@@ -275,9 +302,8 @@ func BenchmarkIterateParallel(b *testing.B) { benchmarkIterate(b, 0) }
 
 // The skewed pair runs the same workload on the twitter stand-in — the most
 // extreme power-law preset (Fig. 5e) — where a few long-fragment-heavy SPUs
-// dominate step 3. This is the dataset the dynamic dispensers and the
-// compute/merge pipeline are judged by: the static-shard engine serialized
-// on the hottest SPU here.
+// dominate step 3. This is the dataset the dynamic dispensers are judged
+// by: the static-shard engine serialized on the hottest SPU here.
 func BenchmarkIterateSerialSkewed(b *testing.B) { benchmarkIterateDataset(b, "twitter", 1) }
 func BenchmarkIterateParallelSkewed(b *testing.B) {
 	benchmarkIterateDataset(b, "twitter", 0)

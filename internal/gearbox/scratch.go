@@ -2,10 +2,10 @@ package gearbox
 
 // Pooled per-iteration scratch and the frontier recycle API. Everything here
 // exists so that steady-state Iterate allocates nothing: counter slices the
-// steps previously made per call, the per-bank accounting arrays of steps 3/4,
-// the epoch-stamped slot marks that replaced step 6's per-bank maps, and the
-// pool of Frontier shells that DistributeFrontier and step 6 draw from once
-// applications opt in with Recycle. The worker-loop bodies are bound to the
+// steps previously made per call, the per-destination and per-bank pair
+// counts of steps 3-5, the epoch-stamped slot marks that replaced step 6's
+// per-bank maps, and the pool of Frontier shells that DistributeFrontier and
+// step 6 draw from once applications opt in with Recycle. The worker-loop bodies are bound to the
 // machine once at New: a func literal passed to par.Pool.ForEach escapes to
 // the heap (the pool may run it on a fresh goroutine), so creating it per
 // Iterate would cost one allocation per parallel region.
@@ -22,15 +22,20 @@ type emitCounters struct {
 	frontierOut int64
 }
 
-// mergeCounters is one worker's private state for the destination-sharded
-// step 3 merge: per-bank receive counts (summed after the barrier; integer
-// addition is order-insensitive), clean transitions observed in the worker's
-// region, and logic slots that turned non-clean there (concatenated after the
-// barrier; step 6 sorts and dedups before anything observable reads them).
+// mergeCounters is one worker's private state for the block-sharded
+// logic-layer merges of step 3 and the step 6 replica reduction: clean
+// transitions observed in the worker's region, and logic slots that turned
+// non-clean there (concatenated after the barrier; step 6 sorts and dedups
+// before anything observable reads them).
 type mergeCounters struct {
-	perBank    []int64
 	cleanHits  int64
 	logicDirty []int32
+}
+
+// foldTally is one destination SPU's step 5 ScatterAccumulate cost, built
+// up pair by pair in receive order by the block that owns the destination.
+type foldTally struct {
+	instr, randActs, lastRow int64
 }
 
 type scratch struct {
@@ -45,8 +50,13 @@ type scratch struct {
 	// worker-privately; integer sums fold order-insensitively in the tail).
 	redPW [][]int64
 
+	// recv[d] is the number of dispatcher pairs bound for destination SPU d
+	// this iteration, summed from the step 3 workers' private tallies;
+	// recvPerBank folds it by the destination's bank. Steps 3 and 4 both
+	// charge the Dispatchers by recvPerBank.
+	recv               []int64
 	recvPerBank        []int64
-	bankPairs          []int64
+	fold               []foldTally
 	logicPairsPerVault []int64
 	logicPerVault      []float64
 
@@ -72,24 +82,25 @@ func (m *Machine) initScratch() {
 		applyPW:            make([]Events, w),
 		emitPW:             make([]emitCounters, w),
 		mergePW:            make([]mergeCounters, w),
+		recv:               make([]int64, m.plan.NumSPUs),
 		recvPerBank:        make([]int64, banks),
-		bankPairs:          make([]int64, banks),
+		fold:               make([]foldTally, m.plan.NumSPUs),
 		logicPairsPerVault: make([]int64, m.cfg.Geo.Vaults),
 		logicPerVault:      make([]float64, m.cfg.Geo.Vaults),
 		bankSlotMark:       make([][]int32, banks),
 		bankSlotCount:      make([]int64, banks),
 	}
 	m.scr.redPW = make([][]int64, w)
-	for i := range m.scr.mergePW {
-		m.scr.mergePW[i].perBank = make([]int64, banks)
+	for i := range m.scr.redPW {
 		m.scr.redPW[i] = make([]int64, banks)
+		m.scr.s3PW[i].recv = make([]int64, m.plan.NumSPUs)
 	}
-	// Destination-block bucketing for the step-3 emit/merge path: each SPU
-	// emits into one bucket per guided merge block, and the worker that
-	// claims block b drains only bucket b of every source — contiguous runs,
-	// no per-pair filtering. The block map depends only on (Workers,
-	// NumSPUs), both fixed for the life of the machine, so it is precomputed
-	// here once.
+	// Destination-block bucketing for the step 3 -> step 5 pair path: each
+	// SPU emits into one bucket per guided step 5 block, and the worker that
+	// claims block b folds only bucket b of every emitting source —
+	// contiguous runs, no per-pair filtering. The block map depends only on
+	// (Workers, NumSPUs), both fixed for the life of the machine, so it is
+	// precomputed here once.
 	nb := m.pool.GuidedBlocks(m.plan.NumSPUs)
 	m.dstBlockOf = make([]int32, m.plan.NumSPUs)
 	for b := 0; b < nb; b++ {
@@ -195,45 +206,12 @@ func (m *Machine) bindWorkerFns() {
 	m.fnStep3 = m.step3SPUBody
 
 	//gearbox:steadystate
-	m.fnStep3Chunk = func(w, i int) {
-		// Pipelined step 3 computes one chunk at a time; i is chunk-relative
-		// and chunkBase (set before the region forks) rebases it to the SPU.
-		m.step3SPUBody(w, m.chunkBase+i)
-	}
-
-	//gearbox:steadystate
-	m.fnMergePairs = func(w, b, lo, hi int) {
-		// Guided block b owns destinations [lo, hi), and sources bucketed
-		// their pairs for those destinations into bucket b (dstBlockOf is
-		// built from the same guided geometry), so whichever worker claims
-		// block b drains bucket b of the current source window in ascending
-		// SPU order — a contiguous scan with no filtering. Windows are the
-		// pipeline's chunks, merged in chunk order, so each destination's
-		// receive order is (chunk asc, source SPU asc) = global ascending
-		// source SPU, exactly the serial receive order.
-		perBank := m.scr.mergePW[w].perBank
-		for k := m.mergeLo; k < m.mergeHi; k++ {
-			keys := m.emit[k].bKey[b]
-			vals := m.emit[k].bVal[b]
-			for i, key := range keys {
-				d := int32(key >> 32)
-				//gearbox:nondet-ok d lies in guided block b: sources bucket pairs by dstBlockOf, and block b is claimed by exactly one worker per merge pass; cross-checked by the CI -race job
-				m.recvIdx[d] = append(m.recvIdx[d], int32(uint32(key))) //gearbox:alloc-ok recycled receive buffer; grows to its high-water mark
-				//gearbox:nondet-ok d lies in guided block b: same bucket-routing invariant as recvIdx above
-				m.recvVal[d] = append(m.recvVal[d], vals[i]) //gearbox:alloc-ok recycled receive buffer; grows to its high-water mark
-				perBank[m.bankOf[d]]++
-			}
-		}
-	}
-
-	//gearbox:steadystate
 	m.fnMergeLogic = func(w, b, lo, hi int) {
 		// Block b owns logic-accumulator slots [lo, hi) of the long region.
-		// Scanning the source window in ascending SPU order, window by
-		// window, keeps each slot's float fold order identical to the
-		// serial merge.
+		// Scanning the sources in ascending SPU order keeps each slot's
+		// float fold order identical to the serial merge.
 		c := &m.scr.mergePW[w]
-		for k := m.mergeLo; k < m.mergeHi; k++ {
+		for k := range m.emit {
 			idxs := m.emit[k].logicIdx
 			vals := m.emit[k].logicVal
 			for i, idx := range idxs {
@@ -259,7 +237,7 @@ func (m *Machine) bindWorkerFns() {
 		// short index has exactly one owner, so shards are exclusive and the
 		// per-owner dirty append order matches the serial merge.
 		c := &m.scr.mergePW[w]
-		for k := m.mergeLo; k < m.mergeHi; k++ {
+		for k := range m.emit {
 			idxs := m.emit[k].logicIdx
 			vals := m.emit[k].logicVal
 			for i, idx := range idxs {
@@ -307,8 +285,6 @@ func (m *Machine) bindWorkerFns() {
 		}
 	}
 
-	m.fnMergeStage = m.step3MergeStage
-
 	//gearbox:steadystate
 	m.fnReduceStage = func() {
 		m.runStep6Reduce()
@@ -316,42 +292,64 @@ func (m *Machine) bindWorkerFns() {
 	}
 
 	//gearbox:steadystate
-	m.fnStep5 = func(w, k int) {
+	m.fnStep5 = func(w, b, lo, hi int) {
+		// Guided block b owns destinations [lo, hi), and every source
+		// bucketed its pairs for them into bucket b (dstBlockOf is built from
+		// the same guided geometry). Folding the emitters' buckets in
+		// ascending SPU order hands each destination its pairs in (source
+		// SPU, emission order): the serial receive order, so fold order,
+		// dirty order and float sums match Workers=1.
 		c := &m.scr.scatPW[w]
-		encs := m.recvIdx[k]
-		if len(encs) == 0 {
-			m.busy[k] = 0
-			return
+		fold := m.scr.fold
+		for d := lo; d < hi; d++ {
+			fold[d] = foldTally{lastRow: -1}
 		}
-		vals := m.recvVal[k]
-		var instr, randActs int64
-		lastRow := int64(-1)
-		for i, enc := range encs {
-			if enc < 0 {
-				// Clean indicator: the row arrives bit-complemented.
-				m.dirty[k] = append(m.dirty[k], ^enc) //gearbox:alloc-ok recycled dirty list; grows to its high-water mark
-				instr += m.instrCosts.cleanAppend
+		for _, k := range m.emitters {
+			keys := m.emit[k].bKey[b]
+			vals := m.emit[k].bVal[b]
+			for i, key := range keys {
+				d, enc := int32(key>>32), int32(uint32(key))
+				t := fold[d]
+				if enc < 0 {
+					// Clean indicator: the row arrives bit-complemented.
+					//gearbox:nondet-ok d lies in guided block b: sources bucket pairs by dstBlockOf, and block b is claimed by exactly one worker per step 5 fold; cross-checked by the CI -race job
+					m.dirty[d] = append(m.dirty[d], ^enc) //gearbox:alloc-ok recycled dirty list; grows to its high-water mark
+					t.instr += m.instrCosts.cleanAppend
+				} else {
+					t.instr += m.instrCosts.scatterLocal
+					c.ev.ALUOps++
+					old := m.output[enc]
+					if m.sem.IsZero(old) {
+						//gearbox:nondet-ok d lies in guided block b: same bucket-routing invariant as the clean-indicator append above
+						m.dirty[d] = append(m.dirty[d], enc) //gearbox:alloc-ok recycled dirty list; grows to its high-water mark
+						t.instr += m.instrCosts.cleanAppend
+						c.cleanHits++
+					}
+					//gearbox:nondet-ok enc is a short row owned by d, and d lies in guided block b: same bucket-routing invariant as the clean-indicator append above
+					m.output[enc] = m.sem.Add(old, vals[i])
+					if row := int64(enc) >> 6; row != t.lastRow {
+						t.randActs++
+						t.lastRow = row
+					}
+				}
+				//gearbox:nondet-ok d lies in guided block b: same bucket-routing invariant as the clean-indicator append above
+				fold[d] = t
+			}
+		}
+		stall := m.stallNs(m.instrCosts.scatterLocal + m.instrCosts.cleanAppend)
+		rowWords := int64(m.cfg.Geo.WordsPerRow())
+		for d := lo; d < hi; d++ {
+			n := m.scr.recv[d]
+			if n == 0 {
+				m.busy[d] = 0
 				continue
 			}
-			instr += m.instrCosts.scatterLocal
-			c.ev.ALUOps++
-			old := m.output[enc]
-			if m.sem.IsZero(old) {
-				m.dirty[k] = append(m.dirty[k], enc) //gearbox:alloc-ok recycled dirty list; grows to its high-water mark
-				instr += m.instrCosts.cleanAppend
-				c.cleanHits++
-			}
-			//gearbox:nondet-ok enc came from recvIdx[k], which the dispatcher fills only with SPU k's own short rows; cross-checked by the CI -race job
-			m.output[enc] = m.sem.Add(old, vals[i])
-			if row := int64(enc) >> 6; row != lastRow {
-				randActs++
-				lastRow = row
-			}
+			t := fold[d]
+			m.busy[d] = float64(t.instr)*m.cyc + float64(t.randActs)*stall
+			c.ev.SPUInstrs += t.instr
+			c.ev.RandRowActs += t.randActs
+			c.ev.SeqRowActs += 2*n/rowWords + 1
 		}
-		m.busy[k] = float64(instr)*m.cyc + float64(randActs)*m.stallNs(m.instrCosts.scatterLocal+m.instrCosts.cleanAppend)
-		c.ev.SPUInstrs += instr
-		c.ev.RandRowActs += randActs
-		c.ev.SeqRowActs += int64(2*len(encs))/int64(m.cfg.Geo.WordsPerRow()) + 1
 	}
 
 	//gearbox:steadystate

@@ -15,15 +15,15 @@ import (
 // most 8 instructions").
 //
 // The per-SPU loops of steps 2, 3, 5 and 6 are embarrassingly parallel —
-// each subarray pipeline owns a contiguous output shard, its replica, its
-// dirty list and its receive buffer — so they run on the machine's worker
-// pool. Everything an SPU would push into shared state (dispatcher pairs,
-// logic-layer contributions, network sends, event counters) is buffered
-// per SPU or per worker during the parallel phase and folded after the
-// barrier. The fold itself is sharded by *destination* (receive buffer,
-// accumulator slot, owner shard): each destination is owned by exactly one
-// worker, which scans the per-SPU buffers in ascending SPU order, so every
-// destination sees the exact serial receive/fold order and the results stay
+// each subarray pipeline owns a contiguous output shard, its replica and
+// its dirty list — so they run on the machine's worker pool. Everything an
+// SPU would push into shared state (dispatcher pairs, logic-layer
+// contributions, network sends, event counters) is buffered per SPU or per
+// worker during the parallel phase and folded after the barrier. The fold
+// itself is sharded by *destination* (destination SPU, accumulator slot,
+// owner shard): each destination is owned by exactly one worker, which
+// scans the per-SPU buffers in ascending SPU order, so every destination
+// sees the exact serial receive/fold order and the results stay
 // bit-identical to the Workers=1 path. DESIGN.md "Execution model" documents
 // the rules. The worker bodies themselves are bound once at New (see
 // scratch.go) so the steady-state hot path allocates nothing.
@@ -76,18 +76,21 @@ func (m *Machine) step2OffsetPacking(f *Frontier, st *IterStats) {
 
 // step3Counters is the per-worker slice of IterStats/Events fields the
 // parallel phase of step 3 accumulates; they reduce after the barrier.
+// recv[d] counts the dispatcher pairs the worker's SPUs sent to destination
+// SPU d.
 type step3Counters struct {
 	ev                             Events
 	localAccums, remoteAccums      int64
 	longAccums, cleanHits          int64
 	activatedColumns, processedNNZ int64
+	recv                           []int64
 }
 
 // step3SPUBody is SPU k's share of step 3, run on worker w: stream the
 // activated columns and long-column fragments, multiply, and route each
 // contribution. Shard-private compute only — SPU k touches its own output
-// shard, replica, emit buckets and error stream; shared-state effects are
-// deferred to the ordered merge.
+// shard, replica, emit buckets and error stream, plus worker w's counters;
+// shared-state effects are deferred to the ordered folds.
 //
 //gearbox:steadystate
 func (m *Machine) step3SPUBody(w, k int) {
@@ -126,6 +129,7 @@ func (m *Machine) step3SPUBody(w, k int) {
 				e.bKey[b] = append(e.bKey[b], uint64(uint32(k))<<32|uint64(uint32(^r))) //gearbox:alloc-ok recycled emit bucket; grows to its high-water mark
 				e.bVal[b] = append(e.bVal[b], 0)                                        //gearbox:alloc-ok recycled emit bucket; grows to its high-water mark
 				e.sentPairs++
+				c.recv[k]++
 				c.cleanHits++
 			}
 			m.output[r] = m.sem.Add(old, contribution)
@@ -162,6 +166,7 @@ func (m *Machine) step3SPUBody(w, k int) {
 			e.bKey[b] = append(e.bKey[b], uint64(uint32(owner))<<32|uint64(uint32(r))) //gearbox:alloc-ok recycled emit bucket; grows to its high-water mark
 			e.bVal[b] = append(e.bVal[b], contribution)                                //gearbox:alloc-ok recycled emit bucket; grows to its high-water mark
 			e.sentPairs++
+			c.recv[owner]++
 			remA++
 		}
 	}
@@ -244,8 +249,10 @@ func (m *Machine) buildLongWork(f *Frontier) {
 // remote accumulation.
 //
 // The per-SPU loops run on the worker pool; each SPU buffers its dispatcher
-// pairs and logic-layer contributions in m.emit[k], and the merge below the
-// barrier folds them sharded by destination.
+// pairs and logic-layer contributions in m.emit[k]. After the barrier the
+// logic-layer contributions fold sharded by accumulator slot (and, for
+// HypoGearboxV2, by owner shard); the dispatcher pairs stay in their
+// buckets until step 5 folds them.
 //
 //gearbox:steadystate
 func (m *Machine) step3LocalAccumulations(f *Frontier, st *IterStats) {
@@ -256,58 +263,23 @@ func (m *Machine) step3LocalAccumulations(f *Frontier, st *IterStats) {
 
 	scr := &m.scr
 	for i := range scr.s3PW {
-		scr.s3PW[i] = step3Counters{}
+		c := &scr.s3PW[i]
+		recv := c.recv
+		clear(recv)
+		*c = step3Counters{recv: recv}
 	}
-	// Merge scratch resets before any compute: in the pipelined path merges
-	// of early chunks run concurrently with later compute regions.
 	for i := range scr.mergePW {
 		c := &scr.mergePW[i]
-		for j := range c.perBank {
-			c.perBank[j] = 0
-		}
 		c.cleanHits = 0
 		c.logicDirty = c.logicDirty[:0]
 	}
 
-	// Software-pipelined compute + ordered merge (pipeline.go). Compute is
-	// shard-private per SPU; the merge is sharded by destination — every
-	// mutable target (a receive buffer, a logic-accumulator slot, an owner's
-	// output shard) belongs to exactly one guided block, and every merge
-	// pass scans its chunk's sources in ascending SPU order, so
-	// per-destination receive order and per-slot float fold order are
-	// exactly the serial merge's at any chunk width. Worker-private counters
-	// (per-bank pair counts, clean hits, newly-dirty logic slots) reduce
-	// after the drain: integers are order-insensitive, and the logic dirty
-	// list is sorted and deduped in step 6 before anything observable reads
-	// it.
 	m.buildLongWork(f)
-	nSPU := m.plan.NumSPUs
-	nc := (nSPU + m.chunkSPUs - 1) / m.chunkSPUs
-	if m.pool.Workers() == 1 || nc == 1 {
-		// No overlap to win: compute everything, then merge everything.
-		m.pool.ForEachDynamic("step3-compute", nSPU, m.chunkSPUs, m.fnStep3)
-		m.mergeLo, m.mergeHi = 0, nSPU
-		m.runStep3Merge()
-	} else {
-		m.pipe.reset(nc)
-		go m.fnMergeStage() //gearbox:alloc-ok one merge-stage goroutine spawn per iteration; bounded, not per-entry
-		for c := 0; c < nc; c++ {
-			// Double-buffer backpressure: at most two chunks of un-merged
-			// emit data in flight.
-			m.pipe.waitMerged(c - 2)
-			lo := c * m.chunkSPUs
-			hi := lo + m.chunkSPUs
-			if hi > nSPU {
-				hi = nSPU
-			}
-			m.chunkBase = lo
-			m.pool.ForEachDynamic("step3-compute", hi-lo, 1, m.fnStep3Chunk)
-			m.pipe.doneCompute(c)
-		}
-		m.pipe.waitMerged(nc - 1) // drain the merge stage
-	}
+	m.pool.ForEachDynamic("step3-compute", m.plan.NumSPUs, 0, m.fnStep3)
 
 	var ev Events
+	recv := scr.recv
+	clear(recv)
 	for i := range scr.s3PW {
 		c := &scr.s3PW[i]
 		ev.Add(c.ev)
@@ -317,41 +289,62 @@ func (m *Machine) step3LocalAccumulations(f *Frontier, st *IterStats) {
 		st.CleanHits += c.cleanHits
 		st.ActivatedColumns += c.activatedColumns
 		st.ProcessedNNZ += c.processedNNZ
-	}
-
-	recvPerBank := scr.recvPerBank
-	for i := range recvPerBank {
-		recvPerBank[i] = 0
-	}
-	for i := range scr.mergePW {
-		c := &scr.mergePW[i]
-		for j, n := range c.perBank {
-			recvPerBank[j] += n
+		for d, n := range c.recv {
+			recv[d] += n
 		}
-		st.CleanHits += c.cleanHits
-		m.logicDirty = append(m.logicDirty, c.logicDirty...) //gearbox:alloc-ok recycled dirty list; grows to its high-water mark
-		// Truncate so the step 6 replica reduction can reuse the buffers.
-		c.logicDirty = c.logicDirty[:0]
+	}
+	recvPerBank := scr.recvPerBank
+	clear(recvPerBank)
+	for d, n := range recv {
+		recvPerBank[m.bankOf[d]] += n
 	}
 
 	// Serial tail: network sends and logic-layer traffic fold in ascending
-	// SPU order, keeping link occupancy order worker-independent.
+	// SPU order, keeping link occupancy order worker-independent. The SPUs
+	// that sent dispatcher pairs are recorded, ascending, for step 5.
 	logicPairsPerVault := scr.logicPairsPerVault
 	for i := range logicPairsPerVault {
 		logicPairsPerVault[i] = 0
 	}
+	m.emitters = m.emitters[:0]
+	var logicPairs int64
 	for k := 0; k < m.plan.NumSPUs; k++ {
 		e := &m.emit[k]
 		srcID := m.plan.SPUIDOf(k)
 		if e.sentPairs > 0 {
 			m.net.SendSPUToSPU(srcID, m.plan.DispatcherOf(k), e.sentPairs)
+			m.emitters = append(m.emitters, int32(k)) //gearbox:alloc-ok recycled emitter list; grows to its high-water mark
 		}
 		if e.logicPairs > 0 {
 			m.net.SendToLogic(srcID, e.logicPairs)
 			ev.LogicOps += 2 * e.logicPairs
 			logicPairsPerVault[m.cfg.Geo.VaultOf(srcID.Bank)] += e.logicPairs
+			logicPairs += e.logicPairs
 		}
 	}
+
+	// Logic-layer contributions (V2 long sends; every HypoGearboxV2
+	// accumulation) fold into their destinations: short accumulations into
+	// owner shards, long ones into the accumulator. Each destination belongs
+	// to exactly one guided block and every block scans the sources in
+	// ascending SPU order, so per-destination fold order is the serial one.
+	// Worker-private clean hits and newly-dirty slots reduce after the
+	// join; step 6 sorts and dedups the dirty slots before anything
+	// observable reads them.
+	if logicPairs > 0 {
+		if m.hypo {
+			m.pool.ForEachBlockDynamic("step3-merge-short", m.plan.NumSPUs, m.fnMergeHypoShort)
+		}
+		m.pool.ForEachBlockDynamic("step3-merge-logic", int(m.plan.LastLong)+1, m.fnMergeLogic)
+		for i := range scr.mergePW {
+			c := &scr.mergePW[i]
+			st.CleanHits += c.cleanHits
+			m.logicDirty = append(m.logicDirty, c.logicDirty...) //gearbox:alloc-ok recycled dirty list; grows to its high-water mark
+			// Truncate so the step 6 replica reduction can reuse the buffers.
+			c.logicDirty = c.logicDirty[:0]
+		}
+	}
+
 	// Counted while routing: each long activation processed one fragment set.
 	st.ActivatedColumns += int64(len(f.Long))
 
@@ -405,24 +398,17 @@ func (m *Machine) step4Dispatching(st *IterStats) {
 	s := &st.Steps[3]
 	s.StallRounds = 1
 
-	bankPairs := m.scr.bankPairs
-	for i := range bankPairs {
-		bankPairs[i] = 0
-	}
 	var ev Events
-	for k := 0; k < m.plan.NumSPUs; k++ {
-		n := int64(len(m.recvIdx[k]))
+	for k, n := range m.scr.recv {
 		if n == 0 {
 			continue
 		}
-		id := m.plan.SPUIDOf(k)
-		bankPairs[m.bankOf[k]] += n
-		m.net.SendSPUToSPU(m.plan.DispatcherOf(k), id, n)
+		m.net.SendSPUToSPU(m.plan.DispatcherOf(k), m.plan.SPUIDOf(k), n)
 	}
 	pairsPerRow := int64(m.cfg.Geo.WordsPerRow() / 2)
 	dispBusy := 0.0
 	rounds := 1
-	for _, n := range bankPairs {
+	for _, n := range m.scr.recvPerBank {
 		rows := (n + pairsPerRow - 1) / pairsPerRow
 		ev.DispatchInstrs += rows * m.instrCosts.dispatchPerRow
 		ev.SeqRowActs += rows
@@ -447,9 +433,10 @@ func (m *Machine) step4Dispatching(st *IterStats) {
 
 // step5RemoteAccumulations has every Compute SPU fold the received pairs
 // into its output shard with the ScatterAccumulate kernel, appending
-// clean-indicator indexes to the frontier list (§5 Step 5). Each SPU's fold
-// only touches its own shard and dirty list, so the loop shards cleanly
-// across the worker pool.
+// clean-indicator indexes to the frontier list (§5 Step 5). The pairs are
+// read straight out of the step 3 emit buckets: each guided destination
+// block folds its bucket of every emitting SPU (fnStep5), touching only its
+// destinations' shards and dirty lists.
 //
 //gearbox:steadystate
 func (m *Machine) step5RemoteAccumulations(st *IterStats) {
@@ -458,7 +445,7 @@ func (m *Machine) step5RemoteAccumulations(st *IterStats) {
 	for i := range m.scr.scatPW {
 		m.scr.scatPW[i] = scatCounters{}
 	}
-	m.pool.ForEachDynamic("step5-scatter", m.plan.NumSPUs, 0, m.fnStep5)
+	m.pool.ForEachBlockDynamic("step5-fold", m.plan.NumSPUs, m.fnStep5)
 	var ev Events
 	for i := range m.scr.scatPW {
 		ev.Add(m.scr.scatPW[i].ev)
@@ -505,6 +492,30 @@ func (m *Machine) step6EmitBody(w, k int) {
 	c.ev.SPUInstrs += n * m.instrCosts.frontierEmit
 	c.ev.RandRowActs += randActs
 	c.frontierOut += n
+}
+
+// runStep6Reduce is the V3 replica reduction sharded by logic-accumulator
+// slot: one serial pass files every SPU's dirty replica slots, SPUs in
+// ascending order, into the bucket of the guided block that owns the slot;
+// then the blocks over [0, LastLong] each fold their own bucket, so each
+// slot's float fold order matches the serial path and no block scans
+// another's slots. With apply disabled it overlaps the frontier-emit region
+// (see step6Applying); the two touch disjoint state (long
+// replicas/accumulator and the reduce buckets vs short output/frontier
+// buckets).
+//
+//gearbox:steadystate
+func (m *Machine) runStep6Reduce() {
+	for b := range m.redBucket {
+		m.redBucket[b] = m.redBucket[b][:0]
+	}
+	for k, dl := range m.dirtyLong {
+		for _, r := range dl {
+			b := m.redBlockOf[r]
+			m.redBucket[b] = append(m.redBucket[b], uint64(k)<<32|uint64(uint32(r))) //gearbox:alloc-ok recycled reduce bucket; grows to its high-water mark
+		}
+	}
+	m.pool.ForEachBlockDynamic("step6-reduce", int(m.plan.LastLong)+1, m.fnReduceRep)
 }
 
 // step6ReduceTail is the serial fold after the parallel V3 replica

@@ -30,8 +30,8 @@ import (
 // A Pool carries no region-to-region state beyond optional host-side
 // instrumentation (see SetInstrumented) and a cache of pprof label contexts
 // (labels.go), and is safe for concurrent use; regions running concurrently
-// on one pool (the gearbox software pipeline overlaps a compute region with
-// a merge region) simply fork their own goroutines. Each region forks and
+// on one pool (the gearbox machine overlaps step 6's replica reduction with
+// its frontier emission) simply fork their own goroutines. Each region forks and
 // joins before returning (fork-join costs ~1-2 us per region, negligible
 // against the multi-ms step loops it shards).
 type Pool struct {

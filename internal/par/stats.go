@@ -3,6 +3,8 @@ package par
 import (
 	"sync/atomic"
 	"time"
+
+	"gearbox/internal/obs"
 )
 
 // Host-side pool introspection. The simulator's results never depend on
@@ -26,7 +28,9 @@ type Stats struct {
 	WorkerBusyNs []int64
 	WorkerBlocks []int64
 	// MergeNs is the wall time spent inside ForEachBlock regions, summed
-	// across workers — the host cost of the ordered merges.
+	// across workers — the host cost of the ordered merges (in the gearbox
+	// machine: the logic-layer merges, step 5's pair fold and step 6's
+	// replica reduction).
 	MergeNs int64
 	// DynRegions counts dynamically scheduled regions (ForEachDynamic and
 	// ForEachBlockDynamic) and DynChunks the chunks/blocks those regions
@@ -40,9 +44,9 @@ type Stats struct {
 	// chunk width is too coarse.
 	Steals int64
 	// OverlapNs is the wall time during which two or more regions were in
-	// flight on this pool simultaneously — the pipeline overlap the
-	// compute/merge double-buffering buys. Compare against total region
-	// time for an overlap ratio.
+	// flight on this pool simultaneously — in the gearbox machine, step 6's
+	// replica reduction running alongside its frontier emission. Compare
+	// against total region time for an overlap ratio.
 	OverlapNs int64
 }
 
@@ -57,8 +61,8 @@ type instr struct {
 	overlapNs    atomic.Int64
 	// active tracks how many regions are currently in flight; the 1->2
 	// transition stamps overlapStart and the 2->1 transition books the
-	// elapsed overlap. The pipeline runs at most two concurrent regions
-	// (compute + merge), so pairwise tracking is exact.
+	// elapsed overlap. The gearbox machine runs at most two concurrent
+	// regions (step 6's reduce + emit), so pairwise tracking is exact.
 	active       atomic.Int32
 	overlapStart atomic.Int64
 	busyNs       []atomic.Int64
@@ -131,28 +135,29 @@ func (p *Pool) ResetStats() {
 
 // regionEnter/regionExit bracket a whole parallel region for overlap
 // accounting: time during which >=2 regions are concurrently in flight is
-// pipeline overlap.
+// overlap. Every host-clock read goes through obs.Now, the repo's one
+// wall-clock chokepoint.
 func (ins *instr) regionEnter() {
 	if ins.active.Add(1) == 2 {
-		ins.overlapStart.Store(time.Now().UnixNano()) //gearbox:nondet-ok host-side pool introspection; wall time never reaches simulated state
+		ins.overlapStart.Store(obs.Now().UnixNano())
 	}
 }
 
 func (ins *instr) regionExit() {
 	if ins.active.Add(-1) == 1 {
-		ins.overlapNs.Add(time.Now().UnixNano() - ins.overlapStart.Load()) //gearbox:nondet-ok host-side pool introspection; wall time never reaches simulated state
+		ins.overlapNs.Add(obs.Now().UnixNano() - ins.overlapStart.Load())
 	}
 }
 
 // workerEnter stamps the start of one worker's share of a region.
 func (ins *instr) workerEnter() time.Time {
-	return time.Now() //gearbox:nondet-ok host-side pool introspection; wall time never reaches simulated state
+	return obs.Now()
 }
 
 // workerExit books the elapsed share against worker w (and the merge total
 // when the region is a ForEachBlock).
 func (ins *instr) workerExit(w int, start time.Time, merge bool) {
-	d := int64(time.Since(start)) //gearbox:nondet-ok host-side pool introspection; wall time never reaches simulated state
+	d := int64(obs.Since(start))
 	ins.busyNs[w].Add(d)
 	ins.blocks[w].Add(1)
 	if merge {
