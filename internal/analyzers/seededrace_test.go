@@ -23,7 +23,7 @@ import (
 func TestSeededRacePassesWithoutRaceDetector(t *testing.T) {
 	pool := par.New(4)
 	total := 0
-	pool.ForEach(1<<14, func(w, i int) {
+	pool.ForEach("race", 1<<14, func(w, i int) {
 		total += i // the racy captured-variable write sharedwrite flags
 	})
 	// No assertion on the value: lost updates make it nondeterministic.

@@ -1,12 +1,11 @@
 // Package sharedwrite flags writes to shared state inside par.Pool worker
-// bodies — the closures and bound methods passed to Pool.ForEach,
-// Pool.ForEachNamed, Pool.ForEachBlock and the dynamic dispensers
-// Pool.ForEachDynamic/Pool.ForEachBlockDynamic (the worker fn is always the
-// last argument). The pool's determinism contract (par package doc)
-// requires cross-index state to be worker-private and merged after the
-// join; a write that two workers can reach is a data race the equivalence
-// suite only catches if a sweep happens to exercise it, so this analyzer
-// proves worker-privacy statically or demands a justification.
+// bodies — the closures and bound methods passed to Pool.ForEach and
+// Pool.ForEachBlock (the worker fn is the last argument of both). The
+// pool's determinism contract (par package doc) requires cross-index state
+// to be keyed by index, block or worker and merged after the join; a write
+// that two workers can reach is a data race the equivalence suite only
+// catches if a sweep happens to exercise it, so this analyzer proves
+// privacy statically or demands a justification.
 //
 // The check is flow-aware over the framework Frame (analysis/flow.go). Two
 // taint flavors are computed from the body's parameters (worker id and
@@ -103,16 +102,12 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// poolForEachNames is the set of Pool entry points that run a worker fn —
-// static shards, named variants, and the dynamic chunk/block dispensers. The
-// worker fn is the LAST argument of every one of them (the named and dynamic
-// forms put the region string and chunk width first).
+// poolForEachNames is the set of Pool entry points that run a worker fn:
+// the per-index and the per-block form. The worker fn is the LAST argument
+// of both (the region name and counts come first).
 var poolForEachNames = map[string]bool{
-	"ForEach":             true,
-	"ForEachNamed":        true,
-	"ForEachBlock":        true,
-	"ForEachDynamic":      true,
-	"ForEachBlockDynamic": true,
+	"ForEach":      true,
+	"ForEachBlock": true,
 }
 
 // isPoolForEach matches method calls with a poolForEachNames name on a
@@ -147,7 +142,7 @@ type workerFn struct {
 	params []types.Object
 }
 
-// resolveWorkerFns follows the second ForEach argument to its code: a func
+// resolveWorkerFns follows the worker fn argument to its code: a func
 // literal in place, a local variable assigned a literal, a struct field
 // bound to a literal or method value anywhere in the package, or a direct
 // method value.

@@ -177,14 +177,14 @@ func (s *Suite) PoolStats() (Table, map[string]float64, error) {
 		fmt.Sprintf("%d parallel regions + %d merge regions (logic merges, step 5 fold, step 6 reduce); merges took %.2f ms (%.1f%% of worker busy time)",
 			stats.Regions, stats.MergeRegions, float64(stats.MergeNs)/1e6, mergeShare))
 
-	// Dynamic-scheduling occupancy: how the chunk dispensers balanced the
-	// skew, and how much of the run step 6's replica reduction and frontier
-	// emission were genuinely concurrent. Steals are chunks claimed by a
-	// worker other than the one a static partition would have assigned —
-	// the work the old engine serialized on its slowest shard.
+	// Dispenser occupancy: how the block dispenser balanced the skew, and
+	// how much of the run step 6's replica reduction and frontier emission
+	// were genuinely concurrent. Steals are blocks claimed by a worker other
+	// than the one a static partition would have assigned — the work a
+	// static shard would have serialized on its slowest worker.
 	stealShare := 0.0
-	if stats.DynChunks > 0 {
-		stealShare = 100 * float64(stats.Steals) / float64(stats.DynChunks)
+	if stats.Chunks > 0 {
+		stealShare = 100 * float64(stats.Steals) / float64(stats.Chunks)
 	}
 	overlapShare := 0.0
 	if total > 0 {
@@ -193,8 +193,8 @@ func (s *Suite) PoolStats() (Table, map[string]float64, error) {
 	out["steal_share"] = stealShare
 	out["overlap_share"] = overlapShare
 	t.Notes = append(t.Notes, fmt.Sprintf(
-		"dynamic scheduling: %d chunks over %d dynamic regions, %d stolen (%.1f%%); step 6 reduce/emit overlap %.2f ms (%.1f%% of busy time)",
-		stats.DynChunks, stats.DynRegions, stats.Steals, stealShare,
+		"block dispenser: %d chunks over %d regions, %d stolen (%.1f%%); step 6 reduce/emit overlap %.2f ms (%.1f%% of busy time)",
+		stats.Chunks, stats.Regions+stats.MergeRegions, stats.Steals, stealShare,
 		float64(stats.OverlapNs)/1e6, overlapShare))
 	t.Notes = append(t.Notes,
 		"host wall-time measurements (diagnostic); simulated results are unaffected by worker count")

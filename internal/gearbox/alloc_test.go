@@ -156,8 +156,8 @@ func TestIterateSteadyStateAllocsParallel(t *testing.T) {
 	}
 	// The hot path runs five parallel regions per iteration (steps 2, 3 and
 	// 5, step 6's emit and replica reduction) plus the reduce-stage
-	// goroutine spawn. Each region costs its wg+dispenser escapes plus up
-	// to Workers goroutine spawns — 49 allocations measured, independent of
+	// goroutine spawn. Each region costs its dispenser escape plus up to
+	// Workers goroutine spawns — 45 allocations measured, independent of
 	// frontier size. Per-entry or per-SPU churn would blow past this budget
 	// by an order of magnitude.
 	if avg := testing.AllocsPerRun(10, cycle); avg > 56 {

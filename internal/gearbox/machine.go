@@ -154,9 +154,14 @@ type Machine struct {
 	busy      []float64
 	dirty     [][]int32 // newly non-clean short indexes per SPU
 	dirtyLong [][]int32 // newly non-clean replica slots per SPU (V3)
-	// Step 6 reduce buckets (V3): redBlockOf maps a long slot to the guided
-	// reduce block that owns it, and redBucket[b] lists block b's dirty
-	// replica slots as k<<32|slot keys, ascending by SPU k (runStep6Reduce).
+	// Block counts of the destination-sharded folds, fixed at New
+	// (foldBlocks): dstBlocks over destination SPUs (step 5, the
+	// HypoGearboxV2 owner-shard merge), slotBlocks over logic-accumulator
+	// slots (the step 3 logic merge, the step 6 replica reduction).
+	dstBlocks, slotBlocks int
+	// Step 6 reduce buckets (V3): redBlockOf maps a long slot to the reduce
+	// block that owns it, and redBucket[b] lists block b's dirty replica
+	// slots as k<<32|slot keys, ascending by SPU k (runStep6Reduce).
 	redBlockOf []int32
 	redBucket  [][]uint64
 	// longWork[k] is SPU k's step 3 worklist: the LongEntries ranges of the
@@ -167,9 +172,8 @@ type Machine struct {
 	// emitters lists, ascending, the SPUs whose step 3 sent dispatcher
 	// pairs this iteration; step 5 folds only their buckets.
 	emitters []int32
-	// dstBlockOf maps a destination SPU to the guided block that owns it in
-	// step 5's ForEachBlockDynamic partition (stable for a fixed pool
-	// width); step 3 buckets its pairs by it so the fold of block b reads
+	// dstBlockOf maps a destination SPU to the step 5 block that owns it;
+	// step 3 buckets its pairs by it so the fold of block b reads
 	// contiguous runs instead of filtering every pair once per worker.
 	dstBlockOf []int32
 	scr        scratch        // pooled per-iteration accounting buffers

@@ -10,6 +10,8 @@ package gearbox
 // the heap (the pool may run it on a fresh goroutine), so creating it per
 // Iterate would cost one allocation per parallel region.
 
+import "gearbox/internal/par"
+
 type packCounters struct{ instrs, acts int64 }
 
 type scatCounters struct {
@@ -96,42 +98,59 @@ func (m *Machine) initScratch() {
 		m.scr.s3PW[i].recv = make([]int64, m.plan.NumSPUs)
 	}
 	// Destination-block bucketing for the step 3 -> step 5 pair path: each
-	// SPU emits into one bucket per guided step 5 block, and the worker that
-	// claims block b folds only bucket b of every emitting source —
-	// contiguous runs, no per-pair filtering. The block map depends only on
-	// (Workers, NumSPUs), both fixed for the life of the machine, so it is
-	// precomputed here once.
-	nb := m.pool.GuidedBlocks(m.plan.NumSPUs)
-	m.dstBlockOf = make([]int32, m.plan.NumSPUs)
-	for b := 0; b < nb; b++ {
-		lo, hi := m.pool.GuidedRange(m.plan.NumSPUs, b)
-		for d := lo; d < hi; d++ {
-			m.dstBlockOf[d] = int32(b)
-		}
-	}
+	// SPU emits into one bucket per step 5 block, and the worker that claims
+	// block b folds only bucket b of every emitting source — contiguous
+	// runs, no per-pair filtering. The block geometry depends only on
+	// (Workers, NumSPUs), both fixed for the life of the machine, so the
+	// block map is precomputed here once.
+	nLong := int(m.plan.LastLong) + 1
+	m.dstBlocks = foldBlocks(w, m.plan.NumSPUs)
+	m.slotBlocks = foldBlocks(w, nLong)
+	m.dstBlockOf = blockMap(m.plan.NumSPUs, m.dstBlocks)
 	for k := range m.emit {
-		m.emit[k].bKey = make([][]uint64, nb)
-		m.emit[k].bVal = make([][]float32, nb)
+		m.emit[k].bKey = make([][]uint64, m.dstBlocks)
+		m.emit[k].bVal = make([][]float32, m.dstBlocks)
 	}
-	if m.replicate && m.plan.LastLong >= 0 {
+	if m.replicate && nLong > 0 {
 		for bf := range m.scr.bankSlotMark {
-			m.scr.bankSlotMark[bf] = make([]int32, m.plan.LastLong+1)
+			m.scr.bankSlotMark[bf] = make([]int32, nLong)
 		}
 		// The same for the step 6 replica reduction: dirty slots are
-		// bucketed by the guided reduce block that owns them, so block b
-		// reads only bucket b.
-		nLong := int(m.plan.LastLong) + 1
-		nrb := m.pool.GuidedBlocks(nLong)
-		m.redBlockOf = make([]int32, nLong)
-		m.redBucket = make([][]uint64, nrb)
-		for b := 0; b < nrb; b++ {
-			lo, hi := m.pool.GuidedRange(nLong, b)
-			for r := lo; r < hi; r++ {
-				m.redBlockOf[r] = int32(b)
-			}
-		}
+		// bucketed by the reduce block that owns them, so block b reads
+		// only bucket b.
+		m.redBlockOf = blockMap(nLong, m.slotBlocks)
+		m.redBucket = make([][]uint64, m.slotBlocks)
 	}
 	m.bindWorkerFns()
+}
+
+// foldBlocks is the block count of a destination-sharded fold over n
+// destinations on a pool of the given width: three blocks per worker, so
+// a hot block late in the region leaves the others to rebalance; one
+// block per worker when n < 4*workers, and one block on a serial pool.
+func foldBlocks(workers, n int) int {
+	switch {
+	case n <= 0:
+		return 0
+	case workers == 1:
+		return 1
+	case n < 4*workers:
+		return min(workers, n)
+	}
+	return 3 * workers
+}
+
+// blockMap maps each index of [0, n) to the par.BlockRange block of nb
+// that holds it.
+func blockMap(n, nb int) []int32 {
+	of := make([]int32, n)
+	for b := 0; b < nb; b++ {
+		lo, hi := par.BlockRange(n, nb, b)
+		for i := lo; i < hi; i++ {
+			of[i] = int32(b)
+		}
+	}
+	return of
 }
 
 // Recycle hands a frontier back to the machine's reuse pool. It is the
@@ -293,12 +312,12 @@ func (m *Machine) bindWorkerFns() {
 
 	//gearbox:steadystate
 	m.fnStep5 = func(w, b, lo, hi int) {
-		// Guided block b owns destinations [lo, hi), and every source
-		// bucketed its pairs for them into bucket b (dstBlockOf is built from
-		// the same guided geometry). Folding the emitters' buckets in
-		// ascending SPU order hands each destination its pairs in (source
-		// SPU, emission order): the serial receive order, so fold order,
-		// dirty order and float sums match Workers=1.
+		// Block b owns destinations [lo, hi), and every source bucketed its
+		// pairs for them into bucket b (dstBlockOf is built from the same
+		// geometry). Folding the emitters' buckets in ascending SPU order
+		// hands each destination its pairs in (source SPU, emission order):
+		// the serial receive order, so fold order, dirty order and float
+		// sums match Workers=1.
 		c := &m.scr.scatPW[w]
 		fold := m.scr.fold
 		for d := lo; d < hi; d++ {
@@ -312,7 +331,7 @@ func (m *Machine) bindWorkerFns() {
 				t := fold[d]
 				if enc < 0 {
 					// Clean indicator: the row arrives bit-complemented.
-					//gearbox:nondet-ok d lies in guided block b: sources bucket pairs by dstBlockOf, and block b is claimed by exactly one worker per step 5 fold; cross-checked by the CI -race job
+					//gearbox:nondet-ok d lies in block b: sources bucket pairs by dstBlockOf, and block b is claimed by exactly one worker per step 5 fold; cross-checked by the CI -race job
 					m.dirty[d] = append(m.dirty[d], ^enc) //gearbox:alloc-ok recycled dirty list; grows to its high-water mark
 					t.instr += m.instrCosts.cleanAppend
 				} else {
@@ -320,19 +339,19 @@ func (m *Machine) bindWorkerFns() {
 					c.ev.ALUOps++
 					old := m.output[enc]
 					if m.sem.IsZero(old) {
-						//gearbox:nondet-ok d lies in guided block b: same bucket-routing invariant as the clean-indicator append above
+						//gearbox:nondet-ok d lies in block b: same bucket-routing invariant as the clean-indicator append above
 						m.dirty[d] = append(m.dirty[d], enc) //gearbox:alloc-ok recycled dirty list; grows to its high-water mark
 						t.instr += m.instrCosts.cleanAppend
 						c.cleanHits++
 					}
-					//gearbox:nondet-ok enc is a short row owned by d, and d lies in guided block b: same bucket-routing invariant as the clean-indicator append above
+					//gearbox:nondet-ok enc is a short row owned by d, and d lies in block b: same bucket-routing invariant as the clean-indicator append above
 					m.output[enc] = m.sem.Add(old, vals[i])
 					if row := int64(enc) >> 6; row != t.lastRow {
 						t.randActs++
 						t.lastRow = row
 					}
 				}
-				//gearbox:nondet-ok d lies in guided block b: same bucket-routing invariant as the clean-indicator append above
+				//gearbox:nondet-ok d lies in block b: same bucket-routing invariant as the clean-indicator append above
 				fold[d] = t
 			}
 		}

@@ -62,7 +62,7 @@ func (m *Machine) step2OffsetPacking(f *Frontier, st *IterStats) {
 	for i := range m.scr.packPW {
 		m.scr.packPW[i] = packCounters{}
 	}
-	m.pool.ForEachNamed("step2-pack", m.plan.NumSPUs, m.fnStep2)
+	m.pool.ForEach("step2-pack", m.plan.NumSPUs, m.fnStep2)
 	var instrs, acts int64
 	for _, c := range m.scr.packPW {
 		instrs += c.instrs
@@ -275,7 +275,7 @@ func (m *Machine) step3LocalAccumulations(f *Frontier, st *IterStats) {
 	}
 
 	m.buildLongWork(f)
-	m.pool.ForEachDynamic("step3-compute", m.plan.NumSPUs, 0, m.fnStep3)
+	m.pool.ForEach("step3-compute", m.plan.NumSPUs, m.fnStep3)
 
 	var ev Events
 	recv := scr.recv
@@ -326,16 +326,16 @@ func (m *Machine) step3LocalAccumulations(f *Frontier, st *IterStats) {
 	// Logic-layer contributions (V2 long sends; every HypoGearboxV2
 	// accumulation) fold into their destinations: short accumulations into
 	// owner shards, long ones into the accumulator. Each destination belongs
-	// to exactly one guided block and every block scans the sources in
+	// to exactly one block and every block scans the sources in
 	// ascending SPU order, so per-destination fold order is the serial one.
 	// Worker-private clean hits and newly-dirty slots reduce after the
 	// join; step 6 sorts and dedups the dirty slots before anything
 	// observable reads them.
 	if logicPairs > 0 {
 		if m.hypo {
-			m.pool.ForEachBlockDynamic("step3-merge-short", m.plan.NumSPUs, m.fnMergeHypoShort)
+			m.pool.ForEachBlock("step3-merge-short", m.plan.NumSPUs, m.dstBlocks, m.fnMergeHypoShort)
 		}
-		m.pool.ForEachBlockDynamic("step3-merge-logic", int(m.plan.LastLong)+1, m.fnMergeLogic)
+		m.pool.ForEachBlock("step3-merge-logic", int(m.plan.LastLong)+1, m.slotBlocks, m.fnMergeLogic)
 		for i := range scr.mergePW {
 			c := &scr.mergePW[i]
 			st.CleanHits += c.cleanHits
@@ -434,8 +434,8 @@ func (m *Machine) step4Dispatching(st *IterStats) {
 // step5RemoteAccumulations has every Compute SPU fold the received pairs
 // into its output shard with the ScatterAccumulate kernel, appending
 // clean-indicator indexes to the frontier list (§5 Step 5). The pairs are
-// read straight out of the step 3 emit buckets: each guided destination
-// block folds its bucket of every emitting SPU (fnStep5), touching only its
+// read straight out of the step 3 emit buckets: each destination block
+// folds its bucket of every emitting SPU (fnStep5), touching only its
 // destinations' shards and dirty lists.
 //
 //gearbox:steadystate
@@ -445,7 +445,7 @@ func (m *Machine) step5RemoteAccumulations(st *IterStats) {
 	for i := range m.scr.scatPW {
 		m.scr.scatPW[i] = scatCounters{}
 	}
-	m.pool.ForEachBlockDynamic("step5-fold", m.plan.NumSPUs, m.fnStep5)
+	m.pool.ForEachBlock("step5-fold", m.plan.NumSPUs, m.dstBlocks, m.fnStep5)
 	var ev Events
 	for i := range m.scr.scatPW {
 		ev.Add(m.scr.scatPW[i].ev)
@@ -496,7 +496,7 @@ func (m *Machine) step6EmitBody(w, k int) {
 
 // runStep6Reduce is the V3 replica reduction sharded by logic-accumulator
 // slot: one serial pass files every SPU's dirty replica slots, SPUs in
-// ascending order, into the bucket of the guided block that owns the slot;
+// ascending order, into the bucket of the block that owns the slot;
 // then the blocks over [0, LastLong] each fold their own bucket, so each
 // slot's float fold order matches the serial path and no block scans
 // another's slots. With apply disabled it overlaps the frontier-emit region
@@ -515,7 +515,7 @@ func (m *Machine) runStep6Reduce() {
 			m.redBucket[b] = append(m.redBucket[b], uint64(k)<<32|uint64(uint32(r))) //gearbox:alloc-ok recycled reduce bucket; grows to its high-water mark
 		}
 	}
-	m.pool.ForEachBlockDynamic("step6-reduce", int(m.plan.LastLong)+1, m.fnReduceRep)
+	m.pool.ForEachBlock("step6-reduce", int(m.plan.LastLong)+1, m.slotBlocks, m.fnReduceRep)
 }
 
 // step6ReduceTail is the serial fold after the parallel V3 replica
@@ -629,7 +629,7 @@ func (m *Machine) step6Applying(opts IterateOptions, st *IterStats) *Frontier {
 		for i := range scr.applyPW {
 			scr.applyPW[i] = Events{}
 		}
-		m.pool.ForEachNamed("step6-apply", m.plan.NumSPUs, m.fnApply)
+		m.pool.ForEach("step6-apply", m.plan.NumSPUs, m.fnApply)
 		for i := range scr.applyPW {
 			ev.Add(scr.applyPW[i])
 		}
@@ -659,7 +659,7 @@ func (m *Machine) step6Applying(opts IterateOptions, st *IterStats) *Frontier {
 		m.reduceWG.Add(1)
 		go m.fnReduceStage() //gearbox:alloc-ok one reduce-stage goroutine spawn per iteration; bounded, not per-entry
 	}
-	m.pool.ForEachDynamic("step6-emit", m.plan.NumSPUs, 0, m.fnEmit)
+	m.pool.ForEach("step6-emit", m.plan.NumSPUs, m.fnEmit)
 	if overlap {
 		m.reduceWG.Wait()
 		m.step6ReduceTail(&ev, logicPerVault)

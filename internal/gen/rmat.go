@@ -76,7 +76,7 @@ func RMAT(cfg RMATConfig) (*sparse.CSC, error) {
 	d := clampProb(1 - cfg.A - cfg.B - cfg.C)
 	pool := par.New(cfg.Workers)
 	blocks := (target + rmatBlockEdges - 1) / rmatBlockEdges
-	pool.ForEach(blocks, func(_, blk int) {
+	pool.ForEach("rmat", blocks, func(_, blk int) {
 		rng := newSplitMix(uint64(cfg.Seed), uint64(blk))
 		lo := blk * rmatBlockEdges
 		hi := lo + rmatBlockEdges

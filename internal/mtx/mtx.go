@@ -95,7 +95,7 @@ func ReadOpts(r io.Reader, o Options) (*sparse.COO, error) {
 	}
 
 	outs := make([]chunkOut, nc)
-	pool.ForEach(nc, func(_, k int) {
+	pool.ForEach("mtx-parse", nc, func(_, k int) {
 		parseChunk(body[bounds[k]:bounds[k+1]], h, rows, cols, &outs[k])
 	})
 
@@ -125,7 +125,7 @@ func ReadOpts(r io.Reader, o Options) (*sparse.COO, error) {
 	for k := range outs {
 		offs[k+1] = offs[k] + len(outs[k].entries)
 	}
-	pool.ForEach(nc, func(_, k int) { copy(m.Entries[offs[k]:offs[k+1]], outs[k].entries) })
+	pool.ForEach("mtx-concat", nc, func(_, k int) { copy(m.Entries[offs[k]:offs[k+1]], outs[k].entries) })
 	return m, nil
 }
 

@@ -171,7 +171,7 @@ func countSegment(pool *par.Pool, body []byte, h header, rows, cols int, colCoun
 	bounds := chunkBounds(body, pool)
 	nc := len(bounds) - 1
 	outs := make([]chunkOut, nc)
-	pool.ForEach(nc, func(_, k int) {
+	pool.ForEach("mtx-count", nc, func(_, k int) {
 		countChunk(body[bounds[k]:bounds[k+1]], h, rows, cols, colCount, &outs[k])
 	})
 	seen := 0
@@ -260,7 +260,7 @@ func placeSegment(pool *par.Pool, b *sparse.CSCBuilder, body []byte, h header, r
 		outs[k].errAt = 0
 		outs[k].seen = 0
 	}
-	pool.ForEach(nc, func(_, k int) {
+	pool.ForEach("mtx-parse", nc, func(_, k int) {
 		parseChunk(body[bounds[k]:bounds[k+1]], h, rows, cols, &outs[k])
 	})
 	seen := 0

@@ -1,20 +1,30 @@
 // Package par is a small deterministic fork-join worker pool for the
 // simulator's per-SPU step loops. Determinism is the design constraint, not
-// throughput tricks: a parallel region always partitions its index space
-// into the same contiguous blocks for a given (workers, n) pair, every
-// worker receives a stable worker id for private scratch, and the caller is
-// expected to merge per-worker or per-index results in fixed index order
-// after the join. Under those rules a region's observable effects are
+// throughput tricks: under the rules below a region's observable effects are
 // bit-identical whether it runs on one goroutine or sixteen, which is what
 // lets the gearbox machine validate its parallel path against the serial
 // one by exact comparison.
 //
-// Two scheduling families share that contract. ForEach/ForEachBlock assign
-// static contiguous ranges — lowest overhead, right for uniform bodies.
-// ForEachDynamic/ForEachBlockDynamic (dynamic.go) hand out chunks and guided
-// blocks through an atomic dispenser so workers steal work from skewed
-// bodies; results stay assignment-independent because effects are tied to
-// indexes and block ids, never to the executing worker.
+// There is one scheduling primitive: a region splits [0, n) into nb uniform
+// blocks, block b covering BlockRange(n, nb, b), and dispenses block ids
+// through one atomic counter, so a worker that drains its block early claims
+// the next unclaimed one instead of idling at the barrier. With one worker
+// the blocks run inline, in ascending order, on the calling goroutine. Two
+// entry points sit on top:
+//
+//   - ForEach runs a body per index, in auto-width chunks (about eight per
+//     worker). It is the per-SPU shape.
+//   - ForEachBlock runs a body per block of a caller-chosen count. It is the
+//     destination-sharded fold shape: each destination lies in exactly one
+//     block, so a block that walks its sources in a fixed order folds every
+//     destination in that order, whichever worker claims it.
+//
+// Which worker runs which block is scheduling-dependent, so effects must
+// never depend on it. Per-index outputs go to per-index slots. Scratch that
+// belongs to a block (a histogram, a kept-entry count) is keyed by the block
+// id b, with nb = Blocks(n) when the caller has no geometry of its own.
+// Scratch that only accumulates (event counters, order-insensitive tallies)
+// is keyed by the worker id and merged in fixed order after the join.
 package par
 
 import (
@@ -22,6 +32,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -31,9 +42,8 @@ import (
 // instrumentation (see SetInstrumented) and a cache of pprof label contexts
 // (labels.go), and is safe for concurrent use; regions running concurrently
 // on one pool (the gearbox machine overlaps step 6's replica reduction with
-// its frontier emission) simply fork their own goroutines. Each region forks and
-// joins before returning (fork-join costs ~1-2 us per region, negligible
-// against the multi-ms step loops it shards).
+// its frontier emission) simply fork their own goroutines. Each region forks
+// and joins before returning.
 type Pool struct {
 	workers int
 	ins     *instr // non-nil while host-side instrumentation is enabled
@@ -44,7 +54,7 @@ type Pool struct {
 }
 
 // New returns a pool of the requested width. workers <= 0 selects
-// runtime.GOMAXPROCS(0); workers == 1 is the serial path (ForEach runs
+// runtime.GOMAXPROCS(0); workers == 1 is the serial path (every region runs
 // inline on the calling goroutine).
 func New(workers int) *Pool {
 	if workers <= 0 {
@@ -53,147 +63,150 @@ func New(workers int) *Pool {
 	return &Pool{workers: workers}
 }
 
-// Workers reports the pool width. Worker ids passed to ForEach callbacks
-// are always in [0, Workers()).
+// Workers reports the pool width. Worker ids passed to region bodies are
+// always in [0, Workers()).
 func (p *Pool) Workers() int { return p.workers }
 
-// Blocks reports how many contiguous blocks ForEach and ForEachBlock split
-// [0, n) into — min(Workers(), n), at least 1 for n > 0. Callers that stage
-// per-block scratch (histograms, per-chunk buffers) size it with Blocks(n)
-// and index it by the worker id their callback receives: for a fixed n the
-// pool always produces the same blocks, so scratch slot w always maps to
-// the same index range. (Dynamic-block callers size by GuidedBlocks and key
-// by the block id instead; see dynamic.go.)
+// Blocks reports the default block count for a ForEachBlock over [0, n):
+// min(Workers(), n), and 0 for n <= 0. Callers that stage per-block scratch
+// (histograms, kept-entry counts) size it with Blocks(n), pass the same
+// count to ForEachBlock, and index the scratch by block id.
 func (p *Pool) Blocks(n int) int {
 	if n <= 0 {
 		return 0
 	}
-	if p.workers < n {
-		return p.workers
-	}
-	return n
+	return min(p.workers, n)
 }
 
-// ForEach runs fn(worker, i) for every i in [0, n), sharding the index
-// space into at most Workers() contiguous blocks. Block boundaries depend
-// only on (Workers(), n), and every index is visited exactly once, so
-// per-index outputs land in deterministic slots; cross-index state must be
-// worker-private (keyed by the worker id) and merged by the caller after
-// ForEach returns.
-//
-// fn must not panic across goroutines' shared state assumptions: indexes
-// within one block run in ascending order on one goroutine.
-func (p *Pool) ForEach(n int, fn func(worker, i int)) {
-	p.forEach("foreach", n, fn)
+// BlockRange reports the half-open index range [lo, hi) of block b when
+// [0, n) is split into nb uniform blocks: [b*n/nb, (b+1)*n/nb). Blocks tile
+// [0, n) exactly in ascending b.
+func BlockRange(n, nb, b int) (lo, hi int) {
+	return b * n / nb, (b + 1) * n / nb
 }
 
-// ForEachNamed is ForEach with a region name carried onto the worker
-// goroutines' pprof labels, so CPU profiles attribute samples to the named
-// region instead of an anonymous spawn func.
-func (p *Pool) ForEachNamed(region string, n int, fn func(worker, i int)) {
-	p.forEach(region, n, fn)
+// ForEach runs fn(worker, i) once for every i in [0, n). Indexes are
+// dispensed in contiguous chunks, about eight per worker; each chunk's
+// indexes run in ascending order on one goroutine. region names the region
+// for pprof labels.
+func (p *Pool) ForEach(region string, n int, fn func(worker, i int)) {
+	p.run(region, n, min(n, 8*p.workers), fn, nil)
 }
 
-func (p *Pool) forEach(region string, n int, fn func(worker, i int)) {
+// ForEachBlock runs fn(worker, b, lo, hi) once for every block b in
+// [0, nb), where [lo, hi) = BlockRange(n, nb, b). The geometry depends only
+// on (n, nb), never on the pool width or on which worker claims a block, so
+// callers can pre-bucket work by block id. nb < 1 is treated as 1. region
+// names the region for pprof labels.
+func (p *Pool) ForEachBlock(region string, n, nb int, fn func(worker, b, lo, hi int)) {
+	p.run(region, n, max(nb, 1), nil, fn)
+}
+
+// run is the one dispenser loop behind both entry points: exactly one of
+// idx and blk is non-nil. Taking both function types, rather than wrapping
+// idx in a block closure, keeps per-index regions allocation-free on the
+// inline path.
+func (p *Pool) run(region string, n, nb int, idx func(worker, i int), blk func(worker, b, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
 	ins := p.ins
 	if ins != nil {
-		ins.regions.Add(1)
+		if blk != nil {
+			ins.mergeRegions.Add(1)
+		} else {
+			ins.regions.Add(1)
+		}
+		ins.chunks.Add(int64(nb))
 		ins.regionEnter()
 		defer ins.regionExit()
 	}
-	w := p.workers
-	if w > n {
-		w = n
-	}
-	if w == 1 {
-		var start time.Time
-		if ins != nil {
-			start = ins.workerEnter()
-		}
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		if ins != nil {
-			ins.workerExit(0, start, false)
-		}
+	if g := min(p.workers, nb); g > 1 {
+		p.spawn(region, n, nb, g, idx, blk)
 		return
 	}
+	var start time.Time
+	if ins != nil {
+		start = ins.workerEnter()
+	}
+	for b := 0; b < nb; b++ {
+		runBlock(0, n, nb, b, idx, blk)
+	}
+	if ins != nil {
+		ins.workerExit(0, start, blk != nil, int64(nb), 0)
+	}
+}
+
+// dispenser is one spawned region's shared state, allocated once per region
+// so the workers' closures capture a single pointer.
+type dispenser struct {
+	next     atomic.Int64
+	wg       sync.WaitGroup
+	panicked atomic.Bool
+	pval     any // the first worker panic, written by the worker that set panicked
+}
+
+// spawn runs the region on g goroutines that claim block ids from one
+// counter. A panic in a body stops further claims and is re-raised on the
+// calling goroutine after the join, so a caller's recover sees it and the
+// pool stays usable. It is separate from run so that only the spawn path
+// pays for the captured state.
+func (p *Pool) spawn(region string, n, nb, g int, idx func(worker, i int), blk func(worker, b, lo, hi int)) {
+	ins := p.ins
 	ctxs := p.labelCtxs(region)
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for worker := 0; worker < w; worker++ {
-		// Balanced contiguous blocks: worker k owns [k*n/w, (k+1)*n/w).
-		lo, hi := worker*n/w, (worker+1)*n/w
-		go func(worker, lo, hi int) {
-			defer wg.Done()
+	d := &dispenser{}
+	d.wg.Add(g)
+	for worker := 0; worker < g; worker++ {
+		go func(worker int) {
+			defer d.wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					d.next.Store(int64(nb)) // stop further claims
+					if d.panicked.CompareAndSwap(false, true) {
+						d.pval = r
+					}
+				}
+			}()
 			pprof.SetGoroutineLabels(ctxs[worker])
 			var start time.Time
 			if ins != nil {
 				start = ins.workerEnter()
 			}
-			for i := lo; i < hi; i++ {
-				fn(worker, i)
+			var claimed, steals int64
+			for {
+				b := int(d.next.Add(1)) - 1
+				if b >= nb {
+					break
+				}
+				// A block run by a worker other than the one a static
+				// partition would assign counts as a steal.
+				if ins != nil {
+					claimed++
+					if worker != b*g/nb {
+						steals++
+					}
+				}
+				runBlock(worker, n, nb, b, idx, blk)
 			}
 			if ins != nil {
-				ins.workerExit(worker, start, false)
+				ins.workerExit(worker, start, blk != nil, claimed, steals)
 			}
-		}(worker, lo, hi)
+		}(worker)
 	}
-	wg.Wait()
+	d.wg.Wait()
+	if d.panicked.Load() {
+		panic(d.pval)
+	}
 }
 
-// ForEachBlock runs fn(worker, lo, hi) once per contiguous block of the
-// index space [0, n), using the same block boundaries as ForEach (worker k
-// owns [k*n/w, (k+1)*n/w)). It is the bulk form of ForEach for callers that
-// shard a fold over a key range — e.g. the preprocessing pipeline's
-// destination-sharded builds — where the body wants to loop over sources
-// itself instead of paying one callback per index. With one worker it runs
-// fn(0, 0, n) inline on the calling goroutine.
-func (p *Pool) ForEachBlock(n int, fn func(worker, lo, hi int)) {
-	if n <= 0 {
+// runBlock executes block b of a region on the given worker.
+func runBlock(worker, n, nb, b int, idx func(worker, i int), blk func(worker, b, lo, hi int)) {
+	lo, hi := BlockRange(n, nb, b)
+	if blk != nil {
+		blk(worker, b, lo, hi)
 		return
 	}
-	ins := p.ins
-	if ins != nil {
-		ins.mergeRegions.Add(1)
-		ins.regionEnter()
-		defer ins.regionExit()
+	for i := lo; i < hi; i++ {
+		idx(worker, i)
 	}
-	w := p.workers
-	if w > n {
-		w = n
-	}
-	if w == 1 {
-		var start time.Time
-		if ins != nil {
-			start = ins.workerEnter()
-		}
-		fn(0, 0, n)
-		if ins != nil {
-			ins.workerExit(0, start, true)
-		}
-		return
-	}
-	ctxs := p.labelCtxs("foreachblock")
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for worker := 0; worker < w; worker++ {
-		lo, hi := worker*n/w, (worker+1)*n/w
-		go func(worker, lo, hi int) {
-			defer wg.Done()
-			pprof.SetGoroutineLabels(ctxs[worker])
-			var start time.Time
-			if ins != nil {
-				start = ins.workerEnter()
-			}
-			fn(worker, lo, hi)
-			if ins != nil {
-				ins.workerExit(worker, start, true)
-			}
-		}(worker, lo, hi)
-	}
-	wg.Wait()
 }

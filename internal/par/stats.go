@@ -23,8 +23,8 @@ type Stats struct {
 	Regions      int64
 	MergeRegions int64
 	// WorkerBusyNs[w] is the wall time worker w's goroutine spent inside
-	// callbacks; WorkerBlocks[w] counts the blocks it executed. An idle
-	// worker (region narrower than the pool) accrues neither.
+	// regions; WorkerBlocks[w] counts the blocks it claimed. An idle worker
+	// (region narrower than the pool) accrues neither.
 	WorkerBusyNs []int64
 	WorkerBlocks []int64
 	// MergeNs is the wall time spent inside ForEachBlock regions, summed
@@ -32,16 +32,14 @@ type Stats struct {
 	// machine: the logic-layer merges, step 5's pair fold and step 6's
 	// replica reduction).
 	MergeNs int64
-	// DynRegions counts dynamically scheduled regions (ForEachDynamic and
-	// ForEachBlockDynamic) and DynChunks the chunks/blocks those regions
-	// dispensed; DynChunks/DynRegions is the average granularity the
-	// work-stealing loop ran at.
-	DynRegions int64
-	DynChunks  int64
-	// Steals counts chunks executed by a worker other than the one a static
-	// partition would have assigned — the load-balancing work the dynamic
-	// dispensers actually did. Zero steals on a skewed dataset means the
-	// chunk width is too coarse.
+	// Chunks counts the blocks all regions dispensed (ForEach chunks and
+	// ForEachBlock blocks); Chunks/(Regions+MergeRegions) is the average
+	// granularity the dispenser ran at.
+	Chunks int64
+	// Steals counts blocks executed by a worker other than the one a static
+	// partition would have assigned — the load-balancing work the dispenser
+	// actually did. Zero steals on a skewed dataset means the blocks are too
+	// coarse.
 	Steals int64
 	// OverlapNs is the wall time during which two or more regions were in
 	// flight on this pool simultaneously — in the gearbox machine, step 6's
@@ -55,8 +53,7 @@ type instr struct {
 	regions      atomic.Int64
 	mergeRegions atomic.Int64
 	mergeNs      atomic.Int64
-	dynRegions   atomic.Int64
-	dynChunks    atomic.Int64
+	chunks       atomic.Int64
 	steals       atomic.Int64
 	overlapNs    atomic.Int64
 	// active tracks how many regions are currently in flight; the 1->2
@@ -100,8 +97,7 @@ func (p *Pool) Stats() (s Stats, ok bool) {
 		Regions:      ins.regions.Load(),
 		MergeRegions: ins.mergeRegions.Load(),
 		MergeNs:      ins.mergeNs.Load(),
-		DynRegions:   ins.dynRegions.Load(),
-		DynChunks:    ins.dynChunks.Load(),
+		Chunks:       ins.chunks.Load(),
 		Steals:       ins.steals.Load(),
 		OverlapNs:    ins.overlapNs.Load(),
 		WorkerBusyNs: make([]int64, p.workers),
@@ -123,8 +119,7 @@ func (p *Pool) ResetStats() {
 	ins.regions.Store(0)
 	ins.mergeRegions.Store(0)
 	ins.mergeNs.Store(0)
-	ins.dynRegions.Store(0)
-	ins.dynChunks.Store(0)
+	ins.chunks.Store(0)
 	ins.steals.Store(0)
 	ins.overlapNs.Store(0)
 	for w := range ins.busyNs {
@@ -154,12 +149,13 @@ func (ins *instr) workerEnter() time.Time {
 	return obs.Now()
 }
 
-// workerExit books the elapsed share against worker w (and the merge total
-// when the region is a ForEachBlock).
-func (ins *instr) workerExit(w int, start time.Time, merge bool) {
+// workerExit books the elapsed share, the blocks claimed and the steals
+// against worker w (and the merge total when the region is a ForEachBlock).
+func (ins *instr) workerExit(w int, start time.Time, merge bool, blocks, steals int64) {
 	d := int64(obs.Since(start))
 	ins.busyNs[w].Add(d)
-	ins.blocks[w].Add(1)
+	ins.blocks[w].Add(blocks)
+	ins.steals.Add(steals)
 	if merge {
 		ins.mergeNs.Add(d)
 	}

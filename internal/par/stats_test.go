@@ -3,6 +3,7 @@ package par
 import (
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestStatsDisabledByDefault(t *testing.T) {
@@ -10,7 +11,7 @@ func TestStatsDisabledByDefault(t *testing.T) {
 	if p.Instrumented() {
 		t.Fatal("fresh pool must not be instrumented")
 	}
-	p.ForEach(16, func(worker, i int) {})
+	p.ForEach("test", 16, func(worker, i int) {})
 	if _, ok := p.Stats(); ok {
 		t.Fatal("Stats must report ok=false while instrumentation is off")
 	}
@@ -25,9 +26,9 @@ func TestStatsAccrue(t *testing.T) {
 	}
 	var visited atomic.Int64
 	for r := 0; r < 3; r++ {
-		p.ForEach(64, func(worker, i int) { visited.Add(1) })
+		p.ForEach("idx", 64, func(worker, i int) { visited.Add(1) })
 	}
-	p.ForEachBlock(64, func(worker, lo, hi int) { visited.Add(int64(hi - lo)) })
+	p.ForEachBlock("blk", 64, 12, func(worker, b, lo, hi int) { visited.Add(int64(hi - lo)) })
 
 	s, ok := p.Stats()
 	if !ok {
@@ -44,9 +45,10 @@ func TestStatsAccrue(t *testing.T) {
 		blocks += s.WorkerBlocks[w]
 		busy += s.WorkerBusyNs[w]
 	}
-	// 4 regions × Blocks(64) blocks each, every one counted exactly once.
-	if want := int64(4 * p.Blocks(64)); blocks != want {
-		t.Errorf("total blocks = %d, want %d", blocks, want)
+	// 3 ForEach regions of 8 chunks per worker plus one 12-block region,
+	// every block claimed exactly once.
+	if want := int64(3*8*4 + 12); s.Chunks != want || blocks != want {
+		t.Errorf("chunks = %d, claimed blocks = %d, want %d", s.Chunks, blocks, want)
 	}
 	if busy <= 0 {
 		t.Error("no worker busy time accrued")
@@ -62,13 +64,13 @@ func TestStatsAccrue(t *testing.T) {
 func TestStatsResetAndDisable(t *testing.T) {
 	p := New(2)
 	p.SetInstrumented(true)
-	p.ForEach(8, func(worker, i int) {})
+	p.ForEach("test", 8, func(worker, i int) {})
 	p.ResetStats()
 	s, ok := p.Stats()
 	if !ok {
 		t.Fatal("ResetStats must keep instrumentation enabled")
 	}
-	if s.Regions != 0 || s.MergeRegions != 0 || s.MergeNs != 0 {
+	if s.Regions != 0 || s.MergeRegions != 0 || s.MergeNs != 0 || s.Chunks != 0 || s.Steals != 0 || s.OverlapNs != 0 {
 		t.Errorf("counters survive ResetStats: %+v", s)
 	}
 	for w := range s.WorkerBusyNs {
@@ -86,17 +88,42 @@ func TestStatsResetAndDisable(t *testing.T) {
 }
 
 // TestStatsSerialInline covers the workers==1 inline path, which must accrue
-// into worker 0 without forking.
+// every block into worker 0 without forking.
 func TestStatsSerialInline(t *testing.T) {
 	p := New(1)
 	p.SetInstrumented(true)
-	p.ForEach(10, func(worker, i int) {
+	p.ForEach("test", 10, func(worker, i int) {
 		if worker != 0 {
 			t.Fatalf("serial pool handed worker id %d", worker)
 		}
 	})
 	s, _ := p.Stats()
-	if s.WorkerBlocks[0] != 1 || s.WorkerBusyNs[0] <= 0 {
+	if s.Chunks != 8 || s.WorkerBlocks[0] != 8 || s.WorkerBusyNs[0] <= 0 || s.Steals != 0 {
 		t.Fatalf("serial region not attributed to worker 0: %+v", s)
+	}
+}
+
+// TestDynamicStats: instrumented regions count dispensed chunks for both
+// entry points, and a skewed body on a multi-worker pool lets the other
+// workers claim blocks a static partition would have assigned elsewhere.
+// Steal counts are scheduling-dependent, so the test only logs their
+// absence (a single-CPU host may never interleave).
+func TestDynamicStats(t *testing.T) {
+	p := New(4)
+	p.SetInstrumented(true)
+	p.ForEachBlock("skewed", 64, 64, func(worker, b, lo, hi int) {
+		if b == 0 {
+			// One pathologically slow block: whoever claims it is stuck
+			// while the other workers claim the rest of the range.
+			time.Sleep(20 * time.Millisecond) //gearbox:nondet-ok test-only skew injection; nothing simulated depends on it
+		}
+	})
+	p.ForEach("idx", 64, func(worker, i int) {})
+	s, _ := p.Stats()
+	if s.Chunks != 64+32 || s.MergeRegions != 1 || s.Regions != 1 {
+		t.Fatalf("chunks/merge regions/regions = %d/%d/%d, want 96/1/1", s.Chunks, s.MergeRegions, s.Regions)
+	}
+	if s.Steals == 0 {
+		t.Log("no steals observed (single-CPU host?)")
 	}
 }

@@ -272,12 +272,12 @@ func Build(m *sparse.CSC, geo mem.Geometry, cfg Config) (*Plan, error) {
 		next += size
 	}
 	pool := par.New(cfg.Workers)
-	pool.ForEachBlock(int(lastLong+1), func(_, lo, hi int) {
+	pool.ForEachBlock("owner-clear", int(lastLong+1), pool.Blocks(int(lastLong+1)), func(_, _, lo, hi int) {
 		for v := lo; v < hi; v++ {
 			p.OwnerOf[v] = -1
 		}
 	})
-	pool.ForEach(numSPUs, func(_, k int) {
+	pool.ForEach("owner-fill", numSPUs, func(_, k int) {
 		r := p.Ranges[k]
 		for v := r.First; v <= r.Last; v++ {
 			p.OwnerOf[v] = int32(k) //gearbox:narrow-ok k is an SPU ordinal, bounded by cfg.NumSPUs validation
@@ -527,7 +527,7 @@ func (p *Plan) buildLongFragments(pool *par.Pool) error {
 		colStart[c] = int32(o)
 	}
 	spillBase := make([]int, nLong+1)
-	pool.ForEach(nLong, func(_, ci int) {
+	pool.ForEach("long-spill", nLong, func(_, ci int) {
 		rows, _ := p.Matrix.Col(int32(ci)) //gearbox:narrow-ok ci < nLong <= NumCols, an int32
 		n := 0
 		if wide := rows.Wide(); wide != nil {
@@ -554,7 +554,7 @@ func (p *Plan) buildLongFragments(pool *par.Pool) error {
 		tallies[w] = pieceTally{frag: make([]int32, p.NumSPUs), spill: make([]int32, p.NumSPUs)}
 	}
 	p.LongPieceStart = make([]int32, nLong+1)
-	pool.ForEach(nLong, func(w, ci int) {
+	pool.ForEach("long-count", nLong, func(w, ci int) {
 		t := &tallies[w]
 		p.LongPieceStart[ci+1] = t.count(p, ci, spillBase[ci])
 		t.clear()
@@ -565,7 +565,7 @@ func (p *Plan) buildLongFragments(pool *par.Pool) error {
 
 	p.LongEntries = make([]sparse.Entry, colStart[nLong])
 	p.LongPieces = make([]LongPiece, p.LongPieceStart[nLong])
-	pool.ForEach(nLong, func(w, ci int) {
+	pool.ForEach("long-fill", nLong, func(w, ci int) {
 		t := &tallies[w]
 		t.count(p, ci, spillBase[ci])
 		lo, hi := colStart[ci], colStart[ci+1]

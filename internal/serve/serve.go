@@ -585,12 +585,24 @@ func (s *Server) entry(k Key) *poolEntry {
 
 // execute runs one job on its pooled system, building the system on the
 // key's first run. Build errors are not cached: a bad key fails every
-// request cheaply, a transient failure heals on retry.
-func (s *Server) execute(j *Job) (*Result, error) {
+// request cheaply, a transient failure heals on retry. A panic in the build
+// or the run ends only this job, as an error: the key's system is dropped,
+// since a run that panicked mid-Iterate leaves the machine in an unknown
+// state, and the key's next request rebuilds it.
+func (s *Server) execute(j *Job) (res *Result, err error) {
 	req := j.req
 	e := s.entry(req.Key)
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	defer func() {
+		if r := recover(); r != nil {
+			if e.sys != nil {
+				s.met.poolSystems.Add(-1)
+			}
+			e.sys, e.tel = nil, nil
+			res, err = nil, fmt.Errorf("serve: run panicked: %v", r)
+		}
+	}()
 	if e.sys == nil {
 		s.met.poolMisses.Inc()
 		t0 := obs.Now()
@@ -636,7 +648,7 @@ func (s *Server) execute(j *Job) (*Result, error) {
 		return nil, err
 	}
 	e.runs.Add(1)
-	res := &Result{
+	res = &Result{
 		RunID:      j.RunID,
 		App:        out.App,
 		Detail:     out.Detail,

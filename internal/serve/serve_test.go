@@ -125,6 +125,47 @@ func TestServeBuildsOnceRunsMany(t *testing.T) {
 	}
 }
 
+// TestPanickingJobIsIsolated: a job whose build panics ends with a terminal
+// error event, counts as a run error, and leaves the server serving: the
+// next request, on a healthy key, returns its result.
+func TestPanickingJobIsIsolated(t *testing.T) {
+	healthy := tinySystem(t)
+	s := New(Config{Build: func(k Key) (*gearbox.System, error) {
+		if k.Dataset == "road" {
+			panic("corrupt build")
+		}
+		return healthy(k)
+	}})
+	defer s.Close()
+
+	bad := submit(t, s, Request{Key: Key{Dataset: "road", Size: "tiny"}, App: "bfs"})
+	var last Event
+	for ev := range bad.Events() {
+		last = ev
+	}
+	if last.Event != "error" || !strings.Contains(last.Error, "corrupt build") {
+		t.Fatalf("panicking job ended with %+v, want an error event naming the panic", last)
+	}
+	if _, err := bad.Wait(); err == nil {
+		t.Fatal("panicking job reported no error")
+	}
+
+	good := submit(t, s, Request{Key: Key{Dataset: "patent", Size: "tiny"}, App: "bfs"})
+	for ev := range good.Events() {
+		last = ev
+	}
+	if last.Event != "result" || last.Result == nil {
+		t.Fatalf("healthy job after a panic ended with %+v, want a result", last)
+	}
+	if got := s.met.runErrors.Value(); got != 1 {
+		t.Fatalf("run errors = %v, want 1", got)
+	}
+	st := s.Stats()
+	if len(st.Recent) != 2 || st.Recent[0].Status != "ok" || st.Recent[1].Status != "error" {
+		t.Fatalf("recent ring = %+v, want the ok run after the errored one", st.Recent)
+	}
+}
+
 // gatedBuilder blocks the first build until released, so tests can fill the
 // queue deterministically while the single worker is pinned in execute.
 func gatedBuilder(t *testing.T, entered chan<- struct{}, release <-chan struct{}) func(Key) (*gearbox.System, error) {

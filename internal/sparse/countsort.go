@@ -90,8 +90,8 @@ func sortPool(workers, nnz int, rows, cols int32) *par.Pool {
 func radixScatter(src, dst []Entry, nKeys int, byCol bool, pool *par.Pool, hist, starts []int32) {
 	n := len(src)
 	nb := pool.Blocks(n)
-	pool.ForEachBlock(n, func(w, lo, hi int) {
-		h := hist[w*nKeys : (w+1)*nKeys]
+	pool.ForEachBlock("radix-count", n, nb, func(_, b, lo, hi int) {
+		h := hist[b*nKeys : (b+1)*nKeys]
 		clear(h)
 		if byCol {
 			for i := lo; i < hi; i++ {
@@ -104,7 +104,7 @@ func radixScatter(src, dst []Entry, nKeys int, byCol bool, pool *par.Pool, hist,
 		}
 	})
 	// Global per-key totals, then the serial prefix over keys.
-	pool.ForEachBlock(nKeys, func(_, klo, khi int) {
+	pool.ForEachBlock("radix-total", nKeys, pool.Blocks(nKeys), func(_, _, klo, khi int) {
 		for k := klo; k < khi; k++ {
 			var s int32
 			for b := 0; b < nb; b++ {
@@ -118,7 +118,7 @@ func radixScatter(src, dst []Entry, nKeys int, byCol bool, pool *par.Pool, hist,
 		starts[k+1] += starts[k]
 	}
 	// Split the global starts into per-(block, key) scatter cursors.
-	pool.ForEachBlock(nKeys, func(_, klo, khi int) {
+	pool.ForEachBlock("radix-cursors", nKeys, pool.Blocks(nKeys), func(_, _, klo, khi int) {
 		for k := klo; k < khi; k++ {
 			run := starts[k]
 			for b := 0; b < nb; b++ {
@@ -128,8 +128,8 @@ func radixScatter(src, dst []Entry, nKeys int, byCol bool, pool *par.Pool, hist,
 			}
 		}
 	})
-	pool.ForEachBlock(n, func(w, lo, hi int) {
-		off := hist[w*nKeys : (w+1)*nKeys]
+	pool.ForEachBlock("radix-scatter", n, nb, func(_, b, lo, hi int) {
+		off := hist[b*nKeys : (b+1)*nKeys]
 		if byCol {
 			for i := lo; i < hi; i++ {
 				e := src[i]
@@ -192,7 +192,7 @@ func dedupSortedParallel(a, scratch []Entry, colStart []int32, pool *par.Pool) [
 	nCols := len(colStart) - 1
 	nb := pool.Blocks(nCols)
 	kept := make([]int32, nb)
-	pool.ForEachBlock(nCols, func(w, clo, chi int) {
+	pool.ForEachBlock("dedup", nCols, nb, func(_, b, clo, chi int) {
 		lo, hi := int(colStart[clo]), int(colStart[chi])
 		out := lo
 		for i := lo; i < hi; {
@@ -208,7 +208,7 @@ func dedupSortedParallel(a, scratch []Entry, colStart []int32, pool *par.Pool) [
 			}
 			i = j
 		}
-		kept[w] = int32(out - lo) //gearbox:narrow-ok a block keeps at most nnz entries, capped at MaxInt32 by the sort entry guard
+		kept[b] = int32(out - lo) //gearbox:narrow-ok a block keeps at most nnz entries, capped at MaxInt32 by the sort entry guard
 	})
 	total := 0
 	for _, k := range kept {
@@ -221,13 +221,13 @@ func dedupSortedParallel(a, scratch []Entry, colStart []int32, pool *par.Pool) [
 	// Compact the per-block spans of scratch back into a.
 	dst := make([]int, nb)
 	run := 0
-	for w := 0; w < nb; w++ {
-		dst[w] = run
-		run += int(kept[w])
+	for b := 0; b < nb; b++ {
+		dst[b] = run
+		run += int(kept[b])
 	}
-	pool.ForEachBlock(nCols, func(w, clo, chi int) {
+	pool.ForEachBlock("dedup-compact", nCols, nb, func(_, b, clo, chi int) {
 		lo := int(colStart[clo])
-		copy(a[dst[w]:dst[w]+int(kept[w])], scratch[lo:lo+int(kept[w])])
+		copy(a[dst[b]:dst[b]+int(kept[b])], scratch[lo:lo+int(kept[b])])
 	})
 	return a[:total]
 }

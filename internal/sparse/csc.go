@@ -233,7 +233,7 @@ func CSCFromCOOWorkers(m *COO, workers int) *CSC {
 	// The input stays untouched: sort a copy, then merge straight into the
 	// compressed arrays.
 	buf := make([]Entry, nnz)
-	pool.ForEachBlock(nnz, func(_, lo, hi int) { copy(buf[lo:hi], m.Entries[lo:hi]) })
+	pool.ForEachBlock("csc-copy", nnz, pool.Blocks(nnz), func(_, _, lo, hi int) { copy(buf[lo:hi], m.Entries[lo:hi]) })
 	scratch := make([]Entry, nnz)
 	colStart := sortByColRow(buf, scratch, m.NumRows, m.NumCols, pool)
 
@@ -242,7 +242,7 @@ func CSCFromCOOWorkers(m *COO, workers int) *CSC {
 	nCols := int(m.NumCols)
 	nb := pool.Blocks(nCols)
 	kept := make([]int32, nb)
-	pool.ForEachBlock(nCols, func(w, clo, chi int) {
+	pool.ForEachBlock("csc-merge", nCols, nb, func(_, b, clo, chi int) {
 		lo, hi := int(colStart[clo]), int(colStart[chi])
 		out := lo
 		for i := lo; i < hi; {
@@ -259,7 +259,7 @@ func CSCFromCOOWorkers(m *COO, workers int) *CSC {
 			}
 			i = j
 		}
-		kept[w] = int32(out - lo) //gearbox:narrow-ok a block keeps at most nnz entries, capped at MaxInt32 by the builder
+		kept[b] = int32(out - lo) //gearbox:narrow-ok a block keeps at most nnz entries, capped at MaxInt32 by the builder
 	})
 	for col := 0; col < nCols; col++ {
 		c.Offsets[col+1] += c.Offsets[col]
@@ -267,10 +267,10 @@ func CSCFromCOOWorkers(m *COO, workers int) *CSC {
 	total := int(c.Offsets[nCols])
 	c.allocIndexes(total)
 	c.Values = make([]float32, total)
-	// Block w's kept entries sit compacted at its span start; their final
+	// Block b's kept entries sit compacted at its span start; their final
 	// position starts at Offsets[clo] (the kept total of all earlier columns).
-	pool.ForEachBlock(nCols, func(w, clo, chi int) {
-		src := buf[colStart[clo] : int(colStart[clo])+int(kept[w])]
+	pool.ForEachBlock("csc-fill", nCols, nb, func(_, b, clo, chi int) {
+		src := buf[colStart[clo] : int(colStart[clo])+int(kept[b])]
 		d := int(c.Offsets[clo])
 		if c.ix16 != nil {
 			for i, e := range src {

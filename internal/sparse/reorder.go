@@ -132,7 +132,7 @@ func ApplyPermutationWorkers(c *CSC, perm *Permutation, workers int) *CSC {
 	coo.Entries = make([]Entry, nnz)
 	pool := par.New(workers)
 	idx := c.RowIndexes()
-	pool.ForEachBlock(nnz, func(_, lo, hi int) {
+	pool.ForEachBlock("relabel", nnz, pool.Blocks(nnz), func(_, _, lo, hi int) {
 		// Locate the column containing entry lo, then walk forward.
 		//gearbox:narrow-ok sort.Search result is bounded by NumCols, an int32
 		col := int32(sort.Search(int(c.NumCols), func(k int) bool {

@@ -107,7 +107,7 @@ func RowLengths(c *CSC) []int {
 	return lens
 }
 
-// RowLengthsWorkers is RowLengths sharded over the worker pool: per-worker
+// RowLengthsWorkers is RowLengths sharded over the worker pool: per-block
 // histograms over contiguous index blocks, then a row-sharded integer merge.
 // Counts are order-insensitive integer sums, so the result is identical at
 // every worker count (0 selects GOMAXPROCS, 1 the serial path).
@@ -121,8 +121,8 @@ func RowLengthsWorkers(c *CSC, workers int) []int {
 	rows := int(c.NumRows)
 	idx := c.RowIndexes()
 	hist := make([]int32, nb*rows)
-	pool.ForEachBlock(nnz, func(w, lo, hi int) {
-		h := hist[w*rows : (w+1)*rows]
+	pool.ForEachBlock("row-count", nnz, nb, func(_, b, lo, hi int) {
+		h := hist[b*rows : (b+1)*rows]
 		if wide := idx.Wide(); wide != nil {
 			for _, r := range wide[lo:hi] {
 				h[r]++
@@ -134,7 +134,7 @@ func RowLengthsWorkers(c *CSC, workers int) []int {
 		}
 	})
 	lens := make([]int, rows)
-	pool.ForEachBlock(rows, func(_, rlo, rhi int) {
+	pool.ForEachBlock("row-total", rows, pool.Blocks(rows), func(_, _, rlo, rhi int) {
 		for r := rlo; r < rhi; r++ {
 			var s int
 			for b := 0; b < nb; b++ {

@@ -21,7 +21,7 @@ import (
 //     drops exact zeros and compacts — exactly the Coalesce semantics, so
 //     the result is bit-identical to CSCFromCOO over the same entries.
 //
-// Peak memory is the final CSC plus O(cols) cursors plus per-worker scratch
+// Peak memory is the final CSC plus O(cols) cursors plus per-block scratch
 // bounded by the longest column, versus the COO path's sorted copies (~3
 // entry arrays of 12 bytes each alongside the final CSC).
 type CSCBuilder struct {
@@ -104,7 +104,7 @@ func (b *CSCBuilder) Finish() (*CSC, error) {
 	keyScr := make([][]uint64, nb)
 	valScr := make([][]float32, nb)
 	// cur[col] becomes the column's kept-entry count.
-	pool.ForEachBlock(nCols, func(w, clo, chi int) {
+	pool.ForEachBlock("csc-finish", nCols, nb, func(_, b, clo, chi int) {
 		for col := clo; col < chi; col++ {
 			lo, hi := c.Offsets[col], c.Offsets[col+1]
 			n := int(hi - lo)
@@ -116,8 +116,8 @@ func (b *CSCBuilder) Finish() (*CSC, error) {
 				cur[col] = int64(n)
 				continue
 			}
-			keys := growTo(keyScr[w], n)
-			keyScr[w] = keys
+			keys := growTo(keyScr[b], n)
+			keyScr[b] = keys
 			if c.ix16 != nil {
 				for i := 0; i < n; i++ {
 					keys[i] = uint64(c.ix16[lo+int64(i)])<<32 | uint64(i)
@@ -128,8 +128,8 @@ func (b *CSCBuilder) Finish() (*CSC, error) {
 				}
 			}
 			slices.Sort(keys)
-			vbuf := growToF(valScr[w], n)
-			valScr[w] = vbuf
+			vbuf := growToF(valScr[b], n)
+			valScr[b] = vbuf
 			copy(vbuf, c.Values[lo:hi])
 			out := lo
 			for i := 0; i < n; {
