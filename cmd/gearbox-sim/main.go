@@ -222,8 +222,7 @@ func writeMetrics(s *gearbox.SpatialStats, path string) error {
 
 // loadMTX runs the streaming ingest pipeline on a Matrix Market file: two
 // bounded-memory passes directly into the width-adaptive CSC, bit-identical
-// to the COO path at any worker count but without holding the intermediate
-// entry structs. This is what makes ~100M+ nnz SuiteSparse files loadable
+// at any worker count and never holding the entries as a COO. This is what makes ~100M+ nnz SuiteSparse files loadable
 // on ordinary hosts (see DESIGN.md §7 for the memory envelope).
 func loadMTX(path string, workers int) (*gearbox.Dataset, error) {
 	f, err := os.Open(path)

@@ -58,7 +58,8 @@ var simulationPkgs = map[string]bool{
 // sorting, or placement. The streaming ingest path (mtx/stream.go,
 // sparse/stream.go) lives inside these packages and is bound by the same
 // sets — its segment windowing and two-pass placement must stay
-// time-independent just like the batch paths.
+// time-independent just like the whole-slice builds (CSCFromCOO,
+// ApplyPermutation, the generators).
 var preprocessingPkgs = map[string]bool{
 	"gearbox/internal/mtx":       true,
 	"gearbox/internal/sparse":    true,

@@ -13,10 +13,10 @@ import (
 )
 
 // TestPreprocessingPipelineWorkersEquivalent runs the whole ingest path —
-// mtx bytes → parse → coalesce → CSC → partition plan — at several worker
-// counts and requires bit-identical results, end to end. This is the
-// integration-level determinism contract for the preprocessing pipeline;
-// the per-stage equivalence tests live with their packages.
+// mtx bytes → ReadCSC → partition plan — at several worker counts and
+// requires bit-identical results, end to end. This is the integration-level
+// determinism contract for the preprocessing pipeline; the per-stage
+// equivalence tests live with their packages.
 func TestPreprocessingPipelineWorkersEquivalent(t *testing.T) {
 	rng := newTestCOO()
 	var buf bytes.Buffer
@@ -32,12 +32,10 @@ func TestPreprocessingPipelineWorkersEquivalent(t *testing.T) {
 	}
 	runAt := func(workers int) result {
 		t.Helper()
-		coo, err := mtx.ReadOpts(bytes.NewReader(data), mtx.Options{Workers: workers})
+		m, err := mtx.ReadCSCOpts(bytes.NewReader(data), mtx.Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		coo.CoalesceWorkers(workers)
-		m := sparse.CSCFromCOOWorkers(coo, workers)
 		cfg := partition.DefaultConfig()
 		cfg.Workers = workers
 		plan, err := partition.Build(m, geo, cfg)
@@ -67,8 +65,8 @@ func TestPreprocessingPipelineWorkersEquivalent(t *testing.T) {
 	}
 }
 
-// newTestCOO builds a small square matrix with duplicates so the coalesce
-// stage has real merging to do.
+// newTestCOO builds a small square matrix with duplicates so the reader's
+// duplicate merge has real work to do.
 func newTestCOO() *sparse.COO {
 	m := sparse.NewCOO(1<<12, 1<<12)
 	m.Entries = make([]sparse.Entry, 0, 1<<15)

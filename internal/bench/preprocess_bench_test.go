@@ -13,9 +13,9 @@ import (
 	"gearbox/internal/sparse"
 )
 
-// Preprocessing benchmarks: every stage of the ingest pipeline (.mtx parse,
-// coalesce, partition plan, generator) at one, four, and all workers, on a
-// >1M-nnz input. The outputs are bit-identical across widths — these runs
+// Preprocessing benchmarks: every stage of the ingest pipeline (.mtx to
+// CSC, the counting-sort CSC build, partition plan, generator) at one, four,
+// and all workers, on a >1M-nnz input. The outputs are bit-identical across widths — these runs
 // measure only time and allocations.
 
 const (
@@ -50,7 +50,7 @@ func preprocSetup(b *testing.B) {
 			panic(err)
 		}
 		preprocMTX = buf.Bytes()
-		preprocCSC = sparse.CSCFromCOO(m.Clone())
+		preprocCSC = sparse.CSCFromCOO(m)
 		preprocGeo = mem.DefaultGeometry()
 	})
 	if preprocCOO.NNZ() < 1<<20 {
@@ -71,31 +71,27 @@ func BenchmarkLoadMTX(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(preprocMTX)))
 		for i := 0; i < b.N; i++ {
-			m, err := mtx.ReadOpts(bytes.NewReader(preprocMTX), mtx.Options{Workers: workers})
+			m, err := mtx.ReadCSCOpts(bytes.NewReader(preprocMTX), mtx.Options{Workers: workers})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if m.NNZ() != preprocCOO.NNZ() {
-				b.Fatalf("parsed %d entries, want %d", m.NNZ(), preprocCOO.NNZ())
+			if m.NNZ() != preprocCSC.NNZ() {
+				b.Fatalf("parsed %d entries, want %d", m.NNZ(), preprocCSC.NNZ())
 			}
 		}
 	})
 }
 
-func BenchmarkCoalesce(b *testing.B) {
+// BenchmarkCSCFromCOO times the counting-sort build (sort, duplicate merge,
+// compaction) that CSCFromCOO shares with ApplyPermutation.
+func BenchmarkCSCFromCOO(b *testing.B) {
 	preprocSetup(b)
 	workerRuns(b, func(b *testing.B, workers int) {
-		// Coalesce mutates its receiver; refill the scratch copy outside
-		// the timer so each op sorts the same unsorted input.
-		work := preprocCOO.Clone()
 		b.ReportAllocs()
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			work.Entries = work.Entries[:len(preprocCOO.Entries)]
-			copy(work.Entries, preprocCOO.Entries)
-			b.StartTimer()
-			work.CoalesceWorkers(workers)
+			if c := sparse.CSCFromCOOWorkers(preprocCOO, workers); c.NNZ() != preprocCSC.NNZ() {
+				b.Fatalf("built %d entries, want %d", c.NNZ(), preprocCSC.NNZ())
+			}
 		}
 	})
 }

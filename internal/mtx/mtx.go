@@ -4,18 +4,19 @@
 // them directly:
 //
 //	f, _ := os.Open("hollywood-2009.mtx")
-//	m, _ := mtx.Read(f)
-//	sys, _ := gearbox.NewSystem(sparse.CSCFromCOO(m), ...)
+//	m, _ := mtx.ReadCSC(f)
+//	sys, _ := gearbox.NewSystem(m, ...)
 //
 // Supported: "matrix coordinate" with real/integer/pattern fields and
 // general/symmetric/skew-symmetric symmetry. Complex matrices and dense
 // ("array") layouts are rejected.
 //
-// Reading is parallel: the entry body splits into per-worker chunks on line
-// boundaries, each chunk parses independently with a hand-rolled scanner
-// (no per-line or per-token allocation), and the per-chunk entry slices are
-// spliced back in chunk order — so the resulting COO, and every error, is
-// byte-identical to a serial parse at any worker count.
+// ReadCSC is the one reader: it streams the entry body straight into a CSC
+// (stream.go). Parsing is parallel: each body segment splits into
+// per-worker chunks on line boundaries, every chunk runs the same
+// hand-rolled entry scanner (no per-line or per-token allocation), and the
+// chunk results combine in chunk order — so the matrix, and every error, is
+// identical to a serial parse at any worker count.
 package mtx
 
 import (
@@ -25,12 +26,12 @@ import (
 	"io"
 	"math"
 	"strconv"
+	"sync/atomic"
 
-	"gearbox/internal/par"
 	"gearbox/internal/sparse"
 )
 
-// Options controls a Read.
+// Options controls a ReadCSC.
 type Options struct {
 	// Workers sizes the parsing pool: 0 selects GOMAXPROCS, 1 forces the
 	// serial path. The parsed matrix is identical at every worker count.
@@ -52,85 +53,6 @@ type header struct {
 	pattern               bool
 	sym                   symmetry
 }
-
-// Read parses a Matrix Market coordinate stream into a COO matrix.
-// Symmetric and skew-symmetric inputs are expanded to both triangles.
-func Read(r io.Reader) (*sparse.COO, error) { return ReadOpts(r, Options{}) }
-
-// ReadOpts is Read with explicit options.
-func ReadOpts(r io.Reader, o Options) (*sparse.COO, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("mtx: %w", err)
-	}
-	h, rest, err := parseBanner(data)
-	if err != nil {
-		return nil, err
-	}
-	rows, cols, nnz, body, err := parseSizeLine(rest)
-	if err != nil {
-		return nil, err
-	}
-
-	pool := par.New(o.Workers)
-	nc := 0
-	if len(body) > 0 {
-		// One chunk per worker, fewer when the body is small: a chunk under
-		// minChunkBytes is not worth a goroutine handoff.
-		nc = pool.Blocks((len(body)-1)/minChunkBytes + 1)
-	}
-	bounds := make([]int, nc+1)
-	if nc > 0 {
-		bounds[nc] = len(body)
-		for k := 1; k < nc; k++ {
-			p := max(k*len(body)/nc, bounds[k-1])
-			for p < len(body) && body[p] != '\n' {
-				p++
-			}
-			if p < len(body) {
-				p++
-			}
-			bounds[k] = p
-		}
-	}
-
-	outs := make([]chunkOut, nc)
-	pool.ForEach("mtx-parse", nc, func(_, k int) {
-		parseChunk(body[bounds[k]:bounds[k+1]], h, rows, cols, &outs[k])
-	})
-
-	// First error in chunk order wins; its entry ordinal is the seen-count
-	// of all earlier (fully parsed) chunks plus its position in its own.
-	seen, total := 0, 0
-	for k := range outs {
-		if outs[k].err != nil {
-			return nil, fmt.Errorf("mtx: entry %d: %w", seen+outs[k].errAt+1, outs[k].err)
-		}
-		seen += outs[k].seen
-		total += len(outs[k].entries)
-	}
-	if seen != nnz {
-		return nil, fmt.Errorf("mtx: read %d entries, header declared %d", seen, nnz)
-	}
-	// Symmetry expansion can double the declared count past what int32 entry
-	// indexes can address downstream; fail here rather than wrap later.
-	if int64(total) > math.MaxInt32 {
-		return nil, fmt.Errorf("mtx: %d entries after symmetry expansion exceed the int32 entry limit", total)
-	}
-
-	//gearbox:narrow-ok parseSize rejects dimensions beyond MaxInt32
-	m := sparse.NewCOO(int32(rows), int32(cols))
-	m.Entries = make([]sparse.Entry, total)
-	offs := make([]int, nc+1)
-	for k := range outs {
-		offs[k+1] = offs[k] + len(outs[k].entries)
-	}
-	pool.ForEach("mtx-concat", nc, func(_, k int) { copy(m.Entries[offs[k]:offs[k+1]], outs[k].entries) })
-	return m, nil
-}
-
-// minChunkBytes is the smallest body span worth a parallel chunk.
-const minChunkBytes = 64 << 10
 
 func parseBanner(data []byte) (header, []byte, error) {
 	if len(data) == 0 {
@@ -203,8 +125,8 @@ func parseSizeLine(data []byte) (rows, cols, nnz int, body []byte, err error) {
 	return 0, 0, 0, nil, fmt.Errorf("mtx: missing size line")
 }
 
-// chunkOut is one chunk's parse result. err, when set, is the inner entry
-// error; errAt is the number of entries the chunk had parsed before it.
+// chunkOut is one chunk's scan result. err, when set, is the inner entry
+// error; errAt is the number of entries the chunk had read before it.
 type chunkOut struct {
 	entries []sparse.Entry
 	seen    int
@@ -212,18 +134,21 @@ type chunkOut struct {
 	err     error
 }
 
-// parseChunk scans one whole-lines span of the entry body. Symmetric and
-// skew mirrors are emitted immediately after their source entry, exactly as
-// the serial reader interleaves them, so splicing chunks in order reproduces
-// the serial entry sequence.
-func parseChunk(body []byte, h header, rows, cols int, out *chunkOut) {
-	// The streaming placement pass recycles chunk outputs across segments;
-	// keep the grown buffer when one is handed back in. Otherwise guess:
-	// entry lines are rarely shorter than ~12 bytes; mirrors double
-	// symmetric/skew chunks. A miss only costs append growth — ReadOpts'
-	// final splice allocates the exact total.
+// scanChunk is the package's one entry grammar: it scans a whole-lines span
+// of the entry body, validating every entry in file order, so each entry
+// error is produced here and both ReadCSC passes report it at the same
+// ordinal. With colCount set (the counting pass) it tallies each entry's
+// column, and its mirror's column for symmetric and skew inputs, through
+// atomic adds. With colCount nil (the placement pass) it appends the
+// entries to out.entries instead, each mirror right after its source entry,
+// so concatenating chunks in order reproduces the serial entry sequence.
+func scanChunk(body []byte, h header, rows, cols int, colCount []int64, out *chunkOut) {
+	// The placement pass recycles chunk outputs across segments; keep the
+	// grown buffer when one is handed back in. Otherwise guess: entry lines
+	// are rarely shorter than ~12 bytes; mirrors double symmetric/skew
+	// chunks. A miss only costs append growth.
 	entries := out.entries[:0]
-	if cap(entries) == 0 {
+	if colCount == nil && cap(entries) == 0 {
 		est := len(body)/12 + 4
 		if h.sym != symGeneral {
 			est *= 2
@@ -235,6 +160,7 @@ func parseChunk(body []byte, h header, rows, cols int, out *chunkOut) {
 		want = 2
 	}
 	seen, pos := 0, 0
+	*out = chunkOut{entries: entries}
 	fail := func(err error) {
 		out.err = err
 		out.errAt = seen
@@ -281,15 +207,22 @@ func parseChunk(body []byte, h header, rows, cols int, out *chunkOut) {
 			fail(fmt.Errorf("index (%d,%d) outside %dx%d", i, j, rows, cols))
 			return
 		}
-		//gearbox:narrow-ok the bounds check above pins i,j inside rows x cols, which parseSize capped at MaxInt32
-		entries = append(entries, sparse.Entry{Row: int32(i - 1), Col: int32(j - 1), Val: v})
-		if i != j && h.sym != symGeneral {
-			mv := v
-			if h.sym == symSkew {
-				mv = -v
+		mirror := i != j && h.sym != symGeneral
+		if colCount != nil {
+			atomic.AddInt64(&colCount[j-1], 1)
+			if mirror {
+				atomic.AddInt64(&colCount[i-1], 1)
 			}
-			//gearbox:narrow-ok mirror of the bounds-checked entry above
-			entries = append(entries, sparse.Entry{Row: int32(j - 1), Col: int32(i - 1), Val: mv})
+		} else {
+			//gearbox:narrow-ok the bounds check above pins i,j inside rows x cols, which parseSize capped at MaxInt32
+			entries = append(entries, sparse.Entry{Row: int32(i - 1), Col: int32(j - 1), Val: v})
+			if mirror {
+				if h.sym == symSkew {
+					v = -v
+				}
+				//gearbox:narrow-ok mirror of the bounds-checked entry above
+				entries = append(entries, sparse.Entry{Row: int32(j - 1), Col: int32(i - 1), Val: v})
+			}
 		}
 		seen++
 	}

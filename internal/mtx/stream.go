@@ -1,28 +1,27 @@
 package mtx
 
 // Streaming Matrix Market ingest: ReadCSC parses a coordinate stream
-// directly into a width-adaptive CSC without materializing the intermediate
-// COO that Read builds. The file is scanned twice in bounded segments:
+// directly into a width-adaptive CSC, never materializing the entries as a
+// COO. The body is scanned twice in bounded segments, both times through
+// scanChunk's one entry grammar:
 //
-//	pass 1  validates every entry (same errors, same ordinals as Read) and
-//	        tallies per-column entry counts into one shared []int64;
+//	pass 1  validates every entry and tallies per-column entry counts into
+//	        one shared []int64;
 //	pass 2  re-scans, parses each segment's chunks in parallel into reused
 //	        entry buffers, and places them in file order through
-//	        sparse.CSCBuilder, whose Finish applies Coalesce semantics.
+//	        sparse.CSCBuilder, whose Finish sums duplicates in file order and
+//	        drops exact zeros.
 //
 // Peak memory is the final CSC plus O(cols) counts plus one segment buffer
-// and per-worker chunk buffers — versus the COO path's entry structs held
-// two to four times over (chunk outputs, the spliced COO, and the sort
-// scratch inside CSCFromCOO). For seekable inputs (files) the bytes are
+// and per-worker chunk buffers. For seekable inputs (files) the bytes are
 // never held whole; other readers are buffered once and windowed through
 // the same segment loop. The result is bit-identical to
-// sparse.CSCFromCOOWorkers(Read(r)) at every worker count.
+// sparse.CSCFromCOOWorkers over the file's entries at every worker count.
 
 import (
 	"bytes"
 	"fmt"
 	"io"
-	"sync/atomic"
 
 	"gearbox/internal/par"
 	"gearbox/internal/sparse"
@@ -33,10 +32,13 @@ import (
 // cache- and memory-friendly.
 const streamSegBytes = 8 << 20
 
+// minChunkBytes is the smallest body span worth a parallel chunk.
+const minChunkBytes = 64 << 10
+
 // ReadCSC parses a Matrix Market coordinate stream directly into a CSC
 // matrix. Symmetric and skew-symmetric inputs expand to both triangles,
 // duplicates sum in file order, and exact zeros drop — the same matrix
-// sparse.CSCFromCOO(Read(r)) yields, at a fraction of the peak memory.
+// sparse.CSCFromCOO yields over the file's entries.
 func ReadCSC(r io.Reader) (*sparse.CSC, error) { return ReadCSCOpts(r, Options{}) }
 
 // ReadCSCOpts is ReadCSC with explicit options.
@@ -73,37 +75,26 @@ func readCSC(r io.Reader, o Options, segBytes int) (*sparse.CSC, error) {
 		}
 	}
 	pool := par.New(o.Workers)
+	outs := make([]chunkOut, pool.Workers())
 
 	// Pass 1: validate and count.
 	s, err := newBodyScanner(rs, segBytes)
 	if err != nil {
 		return nil, err
 	}
-	h, rows, cols, nnz := s.h, s.rows, s.cols, s.nnz
-	colCount := make([]int64, cols)
-	seen := 0
-	for {
-		seg, err := s.next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		n, err := countSegment(pool, seg, h, rows, cols, colCount, seen)
-		if err != nil {
-			return nil, err
-		}
-		seen += n
+	colCount := make([]int64, s.cols)
+	seen, err := scanBody(pool, s, colCount, nil, outs)
+	if err != nil {
+		return nil, err
 	}
-	if seen != nnz {
-		return nil, fmt.Errorf("mtx: read %d entries, header declared %d", seen, nnz)
+	if seen != s.nnz {
+		return nil, fmt.Errorf("mtx: read %d entries, header declared %d", seen, s.nnz)
 	}
 
 	// The builder makes the single O(nnz) allocation of the whole build and
 	// rejects expanded totals beyond the int32 entry limit.
 	//gearbox:narrow-ok parseSize rejects dimensions beyond MaxInt32
-	b, err := sparse.NewCSCBuilder(int32(rows), int32(cols), colCount, o.Workers)
+	b, err := sparse.NewCSCBuilder(int32(s.rows), int32(s.cols), colCount, o.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -112,34 +103,21 @@ func readCSC(r io.Reader, o Options, segBytes int) (*sparse.CSC, error) {
 	if _, err := rs.Seek(start, io.SeekStart); err != nil {
 		return nil, fmt.Errorf("mtx: %w", err)
 	}
-	s2, err := newBodyScanner(rs, segBytes)
+	if s, err = newBodyScanner(rs, segBytes); err != nil {
+		return nil, err
+	}
+	placed, err := scanBody(pool, s, nil, b, outs)
 	if err != nil {
 		return nil, err
 	}
-	outs := make([]chunkOut, pool.Workers())
-	placed := 0
-	for {
-		seg, err := s2.next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		n, err := placeSegment(pool, b, seg, h, rows, cols, outs, placed)
-		if err != nil {
-			return nil, err
-		}
-		placed += n
-	}
-	if placed != nnz {
-		return nil, fmt.Errorf("mtx: input changed between passes: read %d entries, counted %d", placed, nnz)
+	if placed != seen {
+		return nil, fmt.Errorf("mtx: input changed between passes: read %d entries, counted %d", placed, seen)
 	}
 	return b.Finish()
 }
 
-// chunkBounds splits body into per-worker whole-line chunks, exactly as
-// ReadOpts does: one chunk per worker, fewer when the body is small.
+// chunkBounds splits body into whole-line chunks: one per worker, fewer
+// when the body is small.
 func chunkBounds(body []byte, pool *par.Pool) []int {
 	nc := 0
 	if len(body) > 0 {
@@ -162,118 +140,44 @@ func chunkBounds(body []byte, pool *par.Pool) []int {
 	return bounds
 }
 
-// countSegment runs the counting pass over one body segment. Chunks parse in
-// parallel; per-column tallies land in the shared colCount through atomic
-// adds (integer addition commutes, so the totals are worker-count
-// independent). Errors resolve in chunk order with ordinals continuing from
-// seenBase, byte-identical to a serial Read of the same stream.
-func countSegment(pool *par.Pool, body []byte, h header, rows, cols int, colCount []int64, seenBase int) (int, error) {
-	bounds := chunkBounds(body, pool)
-	nc := len(bounds) - 1
-	outs := make([]chunkOut, nc)
-	pool.ForEach("mtx-count", nc, func(_, k int) {
-		countChunk(body[bounds[k]:bounds[k+1]], h, rows, cols, colCount, &outs[k])
-	})
+// scanBody runs one pass over the rest of s's body and returns the number
+// of entries read. Each segment's chunks run scanChunk in parallel. The
+// counting pass (colCount set, b nil) only tallies, and integer addition
+// commutes, so the counts are worker-count independent. The placement pass
+// (colCount nil) feeds each chunk's entries to b serially in chunk order:
+// the file order, which fixes the duplicate fold order. Errors resolve in
+// chunk order with ordinals counted from the body's first entry, identical
+// to a serial parse.
+func scanBody(pool *par.Pool, s *bodyScanner, colCount []int64, b *sparse.CSCBuilder, outs []chunkOut) (int, error) {
+	region := "mtx-parse"
+	if colCount != nil {
+		region = "mtx-count"
+	}
 	seen := 0
-	for k := range outs {
-		if outs[k].err != nil {
-			return 0, fmt.Errorf("mtx: entry %d: %w", seenBase+seen+outs[k].errAt+1, outs[k].err)
+	for {
+		seg, err := s.next()
+		if err == io.EOF {
+			return seen, nil
 		}
-		seen += outs[k].seen
-	}
-	return seen, nil
-}
-
-// countChunk is parseChunk's counting twin: the same scanner, the same
-// validation in the same order, but instead of materializing entries it
-// tallies each entry's column — and its mirror's column for symmetric and
-// skew inputs — into the shared counts.
-func countChunk(body []byte, h header, rows, cols int, colCount []int64, out *chunkOut) {
-	want := 3
-	if h.pattern {
-		want = 2
-	}
-	seen, pos := 0, 0
-	fail := func(err error) {
-		out.err = err
-		out.errAt = seen
-	}
-	for pos < len(body) {
-		le := pos
-		for le < len(body) && body[le] != '\n' {
-			le++
-		}
-		line := body[pos:le]
-		pos = le + 1
-		lp := 0
-		t0 := nextTok(line, &lp)
-		if t0 == nil || t0[0] == '%' {
-			continue
-		}
-		t1 := nextTok(line, &lp)
-		var t2 []byte
-		if !h.pattern {
-			t2 = nextTok(line, &lp)
-		}
-		if t1 == nil || (!h.pattern && t2 == nil) {
-			fail(fmt.Errorf("want %d fields, got %d", want, countFields(line)))
-			return
-		}
-		i, err := atoiTok(t0)
 		if err != nil {
-			fail(fmt.Errorf("row: %w", err))
-			return
+			return 0, err
 		}
-		j, err := atoiTok(t1)
-		if err != nil {
-			fail(fmt.Errorf("col: %w", err))
-			return
-		}
-		if !h.pattern {
-			if _, err = parseFloat32(t2); err != nil {
-				fail(fmt.Errorf("value: %w", err))
-				return
+		bounds := chunkBounds(seg, pool)
+		chunks := outs[:len(bounds)-1]
+		pool.ForEach(region, len(chunks), func(_, k int) {
+			scanChunk(seg[bounds[k]:bounds[k+1]], s.h, s.rows, s.cols, colCount, &chunks[k])
+		})
+		for k := range chunks {
+			c := &chunks[k]
+			if c.err != nil {
+				return 0, fmt.Errorf("mtx: entry %d: %w", seen+c.errAt+1, c.err)
 			}
+			if b != nil {
+				b.PlaceBatch(c.entries)
+			}
+			seen += c.seen
 		}
-		if i < 1 || i > rows || j < 1 || j > cols {
-			fail(fmt.Errorf("index (%d,%d) outside %dx%d", i, j, rows, cols))
-			return
-		}
-		atomic.AddInt64(&colCount[j-1], 1)
-		if i != j && h.sym != symGeneral {
-			atomic.AddInt64(&colCount[i-1], 1)
-		}
-		seen++
 	}
-	out.seen = seen
-}
-
-// placeSegment runs the placement pass over one body segment: chunks parse in
-// parallel into reused buffers, then feed the builder serially in chunk order
-// — the file order CSCFromCOO would have seen, which fixes the duplicate
-// fold order.
-func placeSegment(pool *par.Pool, b *sparse.CSCBuilder, body []byte, h header, rows, cols int, outs []chunkOut, seenBase int) (int, error) {
-	bounds := chunkBounds(body, pool)
-	nc := len(bounds) - 1
-	for k := 0; k < nc; k++ {
-		outs[k].err = nil
-		outs[k].errAt = 0
-		outs[k].seen = 0
-	}
-	pool.ForEach("mtx-parse", nc, func(_, k int) {
-		parseChunk(body[bounds[k]:bounds[k+1]], h, rows, cols, &outs[k])
-	})
-	seen := 0
-	for k := 0; k < nc; k++ {
-		// Pass 1 validated these bytes; an error here means the underlying
-		// reader returned different content on the second pass.
-		if outs[k].err != nil {
-			return 0, fmt.Errorf("mtx: entry %d: %w", seenBase+seen+outs[k].errAt+1, outs[k].err)
-		}
-		b.PlaceBatch(outs[k].entries)
-		seen += outs[k].seen
-	}
-	return seen, nil
 }
 
 // bodyScanner yields the entry body of a Matrix Market stream in bounded

@@ -8,10 +8,7 @@
 // (256-byte rows hold 64 words; row address = index>>6, column = index&63).
 package sparse
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Entry is one non-zero of a matrix in coordinate form.
 type Entry struct {
@@ -43,38 +40,9 @@ func (m *COO) Add(row, col int32, val float32) {
 	m.Entries = append(m.Entries, Entry{Row: row, Col: col, Val: val})
 }
 
-// NNZ reports the number of stored entries, including any duplicates that
-// have not yet been coalesced.
+// NNZ reports the number of stored entries, duplicates included;
+// CSCFromCOO merges them.
 func (m *COO) NNZ() int { return len(m.Entries) }
-
-// Coalesce sorts entries in (col,row) order and merges duplicates by adding
-// their values, dropping exact zeros produced by cancellation. It returns the
-// receiver for chaining. Large inputs run the parallel counting-sort path at
-// full width; the result is bit-identical at every worker count, so callers
-// need no opt-in.
-func (m *COO) Coalesce() *COO { return m.CoalesceWorkers(0) }
-
-// CoalesceWorkers is Coalesce over an explicit worker count (0 selects
-// GOMAXPROCS, 1 forces the serial path). Duplicate values are summed in
-// source order either way — the counting sort is stable, the fallback
-// comparison sort is a stable sort — so the merged floats, and therefore
-// the whole result, are identical for every workers value.
-func (m *COO) CoalesceWorkers(workers int) *COO {
-	n := len(m.Entries)
-	if n == 0 {
-		return m
-	}
-	if !useCountingSort(n, m.NumRows, m.NumCols) {
-		slices.SortStableFunc(m.Entries, entryColRow)
-		m.Entries = mergeSortedEntries(m.Entries)
-		return m
-	}
-	pool := sortPool(workers, n, m.NumRows, m.NumCols)
-	scratch := make([]Entry, n)
-	colStart := sortByColRow(m.Entries, scratch, m.NumRows, m.NumCols, pool)
-	m.Entries = dedupSortedParallel(m.Entries, scratch, colStart, pool)
-	return m
-}
 
 // Transpose returns a new COO with rows and columns swapped.
 func (m *COO) Transpose() *COO {

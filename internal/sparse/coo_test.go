@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -40,32 +41,32 @@ func TestCOOAddOutOfBoundsPanics(t *testing.T) {
 	}
 }
 
-func TestCOOCoalesceMergesDuplicates(t *testing.T) {
+func TestCSCFromCOOMergesDuplicates(t *testing.T) {
 	m := NewCOO(3, 3)
 	m.Add(1, 2, 1.5)
 	m.Add(1, 2, 2.5)
 	m.Add(0, 0, 3)
-	m.Coalesce()
-	if m.NNZ() != 2 {
-		t.Fatalf("NNZ after coalesce = %d, want 2", m.NNZ())
+	got := canonical(m)
+	if got.NNZ() != 2 {
+		t.Fatalf("NNZ after merge = %d, want 2", got.NNZ())
 	}
-	for _, e := range m.Entries {
+	for _, e := range got.Entries {
 		if e.Row == 1 && e.Col == 2 && e.Val != 4 {
 			t.Fatalf("merged value = %v, want 4", e.Val)
 		}
 	}
 }
 
-func TestCOOCoalesceDropsCancelledZeros(t *testing.T) {
+func TestCSCFromCOODropsCancelledZeros(t *testing.T) {
 	m := NewCOO(2, 2)
 	m.Add(0, 0, 1)
 	m.Add(0, 0, -1)
 	m.Add(1, 1, 5)
-	m.Coalesce()
-	if m.NNZ() != 1 {
-		t.Fatalf("NNZ = %d, want 1 (cancelled entry must be dropped)", m.NNZ())
+	got := canonical(m)
+	if got.NNZ() != 1 {
+		t.Fatalf("NNZ = %d, want 1 (cancelled entry must be dropped)", got.NNZ())
 	}
-	if e := m.Entries[0]; e.Row != 1 || e.Col != 1 || e.Val != 5 {
+	if e := got.Entries[0]; e.Row != 1 || e.Col != 1 || e.Val != 5 {
 		t.Fatalf("surviving entry = %+v", e)
 	}
 }
@@ -102,6 +103,10 @@ func randomCOO(rng *rand.Rand, rows, cols int32, nnz int) *COO {
 	return m
 }
 
+// canonical is m with duplicates merged in source order, exact zeros
+// dropped and entries in (col,row) order.
+func canonical(m *COO) *COO { return CSCFromCOO(m).ToCOO() }
+
 func cscEqual(a, b *CSC) bool {
 	if a.NumRows != b.NumRows || a.NumCols != b.NumCols || a.NNZ() != b.NNZ() {
 		return false
@@ -109,22 +114,11 @@ func cscEqual(a, b *CSC) bool {
 	return a.Equal(b)
 }
 
-func TestQuickCoalesceIdempotent(t *testing.T) {
+func TestQuickCanonicalIdempotent(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		m := randomCOO(rng, 1+rng.Int31n(16), 1+rng.Int31n(16), rng.Intn(64))
-		m.Coalesce()
-		before := append([]Entry(nil), m.Entries...)
-		m.Coalesce()
-		if len(before) != len(m.Entries) {
-			return false
-		}
-		for i := range before {
-			if before[i] != m.Entries[i] {
-				return false
-			}
-		}
-		return true
+		once := canonical(randomCOO(rng, 1+rng.Int31n(16), 1+rng.Int31n(16), rng.Intn(64)))
+		return slices.Equal(canonical(once).Entries, once.Entries)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -134,7 +128,7 @@ func TestQuickCoalesceIdempotent(t *testing.T) {
 func TestQuickTransposePreservesNNZ(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		m := randomCOO(rng, 1+rng.Int31n(16), 1+rng.Int31n(16), rng.Intn(64)).Coalesce()
+		m := canonical(randomCOO(rng, 1+rng.Int31n(16), 1+rng.Int31n(16), rng.Intn(64)))
 		return m.Transpose().NNZ() == m.NNZ()
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -8,8 +8,8 @@ import (
 )
 
 // This file implements the O(nnz) two-pass counting (LSD radix) sort that
-// Coalesce, CSCFromCOO and ApplyPermutation build on, replacing the
-// O(nnz log nnz) comparison sorts of the serial path. Determinism is free:
+// CSCFromCOO and ApplyPermutation build on, replacing the O(nnz log nnz)
+// comparison sort of the small-input path. Determinism is free:
 // a stable counting sort has exactly one output for a given input, so the
 // result is bit-identical at every worker count — the same contract the
 // simulator's step loops honor (DESIGN.md §7, "Preprocessing pipeline").
@@ -26,7 +26,7 @@ import (
 //     at its cursor, so equal keys keep source order (stability).
 //
 // Sorting by row first and column second yields (col,row) order, matching
-// what Coalesce's comparison sort produced.
+// what the stable comparison sort produces.
 
 // entryColRow is the (col,row) ordering shared by the counting and
 // comparison paths.
@@ -182,52 +182,4 @@ func mergeSortedEntries(sorted []Entry) []Entry {
 		}
 	}
 	return kept
-}
-
-// dedupSortedParallel merges duplicates of the (col,row)-sorted slice a,
-// dropping exact zeros, sharded over column ranges (duplicates never cross
-// a column boundary, so blocks are independent). scratch must alias nothing
-// and have len(a). The compacted result reuses a's storage.
-func dedupSortedParallel(a, scratch []Entry, colStart []int32, pool *par.Pool) []Entry {
-	nCols := len(colStart) - 1
-	nb := pool.Blocks(nCols)
-	kept := make([]int32, nb)
-	pool.ForEachBlock("dedup", nCols, nb, func(_, b, clo, chi int) {
-		lo, hi := int(colStart[clo]), int(colStart[chi])
-		out := lo
-		for i := lo; i < hi; {
-			e := a[i]
-			j := i + 1
-			for j < hi && a[j].Row == e.Row && a[j].Col == e.Col {
-				e.Val += a[j].Val
-				j++
-			}
-			if e.Val != 0 {
-				scratch[out] = e
-				out++
-			}
-			i = j
-		}
-		kept[b] = int32(out - lo) //gearbox:narrow-ok a block keeps at most nnz entries, capped at MaxInt32 by the sort entry guard
-	})
-	total := 0
-	for _, k := range kept {
-		total += int(k)
-	}
-	if total == len(a) {
-		// Nothing merged or dropped: a is already the answer.
-		return a
-	}
-	// Compact the per-block spans of scratch back into a.
-	dst := make([]int, nb)
-	run := 0
-	for b := 0; b < nb; b++ {
-		dst[b] = run
-		run += int(kept[b])
-	}
-	pool.ForEachBlock("dedup-compact", nCols, nb, func(_, b, clo, chi int) {
-		lo := int(colStart[clo])
-		copy(a[dst[b]:dst[b]+int(kept[b])], scratch[lo:lo+int(kept[b])])
-	})
-	return a[:total]
 }

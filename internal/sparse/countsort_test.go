@@ -30,31 +30,44 @@ func bigRandomCOO(seed int64) *COO {
 
 func entriesEqual(a, b []Entry) bool { return slices.Equal(a, b) }
 
+// TestCoalesceWorkersEquivalent merges heavy duplicates across the worker
+// sweep: on a 64×64 shape every coordinate repeats about three times and
+// many sums cancel to exact zeros, and the merged entries must not depend
+// on the worker count.
 func TestCoalesceWorkersEquivalent(t *testing.T) {
-	base := bigRandomCOO(7)
+	rng := rand.New(rand.NewSource(7))
+	base := NewCOO(64, 64)
+	for i := 0; i < 3<<12; i++ {
+		base.Add(rng.Int31n(64), rng.Int31n(64), float32(rng.Intn(5)-2))
+	}
 	if !useCountingSort(len(base.Entries), base.NumRows, base.NumCols) {
 		t.Fatal("test input does not reach the counting-sort path")
 	}
-	want := base.Clone().CoalesceWorkers(1)
+	want := CSCFromCOOWorkers(base, 1).ToCOO().Entries
 	for _, w := range workerSweep() {
-		got := base.Clone().CoalesceWorkers(w)
-		if !entriesEqual(got.Entries, want.Entries) {
-			t.Fatalf("workers=%d: coalesced entries differ from serial", w)
+		if got := CSCFromCOOWorkers(base, w).ToCOO().Entries; !entriesEqual(got, want) {
+			t.Fatalf("workers=%d: merged entries differ from serial", w)
 		}
 	}
 }
 
+// TestCoalesceCountingMatchesComparisonSort drives the same entries through
+// both of CSCFromCOOWorkers' sorts: in their own shape they take the
+// counting sort, declared inside a hypersparse shape they take the stable
+// comparison fallback. The merged entries must be the same bits.
 func TestCoalesceCountingMatchesComparisonSort(t *testing.T) {
-	// The counting path and the stable comparison sort must agree exactly:
-	// both preserve source order within a coordinate, so the merged float
-	// sums are the same bits.
-	base := bigRandomCOO(11)
-	want := base.Clone()
-	slices.SortStableFunc(want.Entries, entryColRow)
-	want.Entries = mergeSortedEntries(want.Entries)
-	got := base.Clone().CoalesceWorkers(0)
-	if !entriesEqual(got.Entries, want.Entries) {
-		t.Fatal("counting-sort coalesce differs from stable comparison sort")
+	counted := bigRandomCOO(11)
+	fallback := counted.Clone()
+	fallback.NumRows, fallback.NumCols = 1<<20, 1<<20
+	if !useCountingSort(len(counted.Entries), counted.NumRows, counted.NumCols) ||
+		useCountingSort(len(fallback.Entries), fallback.NumRows, fallback.NumCols) {
+		t.Fatal("test inputs do not split across the two sorts")
+	}
+	want := CSCFromCOOWorkers(fallback, 0).ToCOO().Entries
+	for _, w := range workerSweep() {
+		if got := CSCFromCOOWorkers(counted, w).ToCOO().Entries; !entriesEqual(got, want) {
+			t.Fatalf("workers=%d: counting sort differs from the comparison fallback", w)
+		}
 	}
 }
 
@@ -78,22 +91,20 @@ func TestCSCFromCOOWorkersEquivalent(t *testing.T) {
 }
 
 func TestCSCFromCOOCountingMatchesFallback(t *testing.T) {
+	// The counting build must equal the stable comparison sort plus the
+	// serial merge over the same entries: both keep source order within a
+	// coordinate, so the merged float sums are the same bits.
 	base := bigRandomCOO(17)
-	// Force the comparison fallback by lying about the dimensions' cost
-	// model: rebuild through a small clone that takes the fallback path.
-	small := base.Clone()
-	small.Entries = small.Entries[:1<<10]
-	if useCountingSort(len(small.Entries), small.NumRows, small.NumCols) {
-		t.Fatal("truncated input unexpectedly reaches the counting path")
+	if !useCountingSort(len(base.Entries), base.NumRows, base.NumCols) {
+		t.Fatal("test input does not reach the counting-sort path")
 	}
-	big := base.Clone()
-	big.Entries = big.Entries[:1<<10]
-	// Same entries, forced through both paths via CoalesceWorkers' own
-	// threshold vs a manual stable sort.
-	want := CSCFromCOOWorkers(small, 1)
-	got := CSCFromCOOWorkers(big, 0)
-	if !cscEqual(got, want) {
-		t.Fatal("fallback path is worker-dependent")
+	want := slices.Clone(base.Entries)
+	slices.SortStableFunc(want, entryColRow)
+	want = mergeSortedEntries(want)
+	for _, w := range workerSweep() {
+		if got := CSCFromCOOWorkers(base, w).ToCOO().Entries; !entriesEqual(got, want) {
+			t.Fatalf("workers=%d: counting build differs from the stable comparison sort", w)
+		}
 	}
 }
 
@@ -129,17 +140,16 @@ func TestRowLengthsWorkersEquivalent(t *testing.T) {
 	}
 }
 
-func TestCoalesceWorkersEmptyAndTiny(t *testing.T) {
+func TestCSCFromCOOWorkersEmptyAndTiny(t *testing.T) {
 	for _, w := range workerSweep() {
-		e := NewCOO(4, 4).CoalesceWorkers(w)
-		if e.NNZ() != 0 {
-			t.Fatalf("workers=%d: empty coalesce produced %d entries", w, e.NNZ())
+		if e := CSCFromCOOWorkers(NewCOO(4, 4), w); e.NNZ() != 0 || e.Validate() != nil {
+			t.Fatalf("workers=%d: empty build produced %d entries", w, e.NNZ())
 		}
 		one := NewCOO(4, 4)
 		one.Add(2, 3, 5)
-		one.CoalesceWorkers(w)
-		if one.NNZ() != 1 || one.Entries[0] != (Entry{Row: 2, Col: 3, Val: 5}) {
-			t.Fatalf("workers=%d: single-entry coalesce = %+v", w, one.Entries)
+		got := CSCFromCOOWorkers(one, w).ToCOO()
+		if got.NNZ() != 1 || got.Entries[0] != (Entry{Row: 2, Col: 3, Val: 5}) {
+			t.Fatalf("workers=%d: single-entry build = %+v", w, got.Entries)
 		}
 	}
 }

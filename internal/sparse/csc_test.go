@@ -83,7 +83,7 @@ func TestCSCPairInterleaving(t *testing.T) {
 
 func TestCSCRoundTripCOO(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	m := randomCOO(rng, 50, 40, 300).Coalesce()
+	m := canonical(randomCOO(rng, 50, 40, 300))
 	c := CSCFromCOO(m)
 	back := CSCFromCOO(c.ToCOO())
 	if !cscEqual(c, back) {
@@ -145,7 +145,7 @@ func TestCSCValidateCatchesCorruption(t *testing.T) {
 func TestQuickCSCRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		m := randomCOO(rng, 1+rng.Int31n(24), 1+rng.Int31n(24), rng.Intn(128)).Coalesce()
+		m := canonical(randomCOO(rng, 1+rng.Int31n(24), 1+rng.Int31n(24), rng.Intn(128)))
 		c := CSCFromCOO(m)
 		if c.Validate() != nil {
 			return false
@@ -161,7 +161,7 @@ func TestQuickCSRTransposeAgreesWithCSC(t *testing.T) {
 	// Building CSR of M must equal CSC of M^T field-by-field.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		m := randomCOO(rng, 1+rng.Int31n(24), 1+rng.Int31n(24), rng.Intn(128)).Coalesce()
+		m := canonical(randomCOO(rng, 1+rng.Int31n(24), 1+rng.Int31n(24), rng.Intn(128)))
 		r := CSRFromCOO(m)
 		ct := CSCFromCOO(m.Transpose())
 		if r.NNZ() != ct.NNZ() {

@@ -124,7 +124,7 @@ func TestPowerLawExponentRecoversKnownAlpha(t *testing.T) {
 func TestQuickHistogramSumsTo100(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		m := randomCOO(rng, 1+rng.Int31n(32), 1+rng.Int31n(32), 1+rng.Intn(256)).Coalesce()
+		m := canonical(randomCOO(rng, 1+rng.Int31n(32), 1+rng.Int31n(32), 1+rng.Intn(256)))
 		bins := ColumnLengthHistogram(CSCFromCOO(m))
 		sum := 0.0
 		for _, b := range bins {

@@ -18,11 +18,11 @@ import (
 //  3. PlaceBatch scatters bounded batches of entries into their column
 //     spans, in source order (callers feed batches serially);
 //  4. Finish sorts each column by row, merges duplicates in source order,
-//     drops exact zeros and compacts — exactly the Coalesce semantics, so
+//     drops exact zeros and compacts — exactly CSCFromCOO's semantics, so
 //     the result is bit-identical to CSCFromCOO over the same entries.
 //
 // Peak memory is the final CSC plus O(cols) cursors plus per-block scratch
-// bounded by the longest column, versus the COO path's sorted copies (~3
+// bounded by the longest column, versus CSCFromCOO's sorted copies (~3
 // entry arrays of 12 bytes each alongside the final CSC).
 type CSCBuilder struct {
 	c    *CSC
@@ -88,7 +88,7 @@ func (b *CSCBuilder) PlaceBatch(entries []Entry) {
 // matrix. Per-column work shards over the pool: each column sorts its span
 // by (row, source position) — packed uint64 keys, so the sort is a plain
 // slices.Sort and stability is structural — then merges duplicate rows in
-// source order and drops exact zeros, matching Coalesce bit for bit.
+// source order and drops exact zeros, matching CSCFromCOO bit for bit.
 func (b *CSCBuilder) Finish() (*CSC, error) {
 	c, cur := b.c, b.cur
 	nCols := int(c.NumCols)
@@ -137,7 +137,7 @@ func (b *CSCBuilder) Finish() (*CSC, error) {
 				v := vbuf[uint32(keys[i])]
 				j := i + 1
 				// Equal rows sort by source position (the low key half), so
-				// duplicate values fold in source order, like Coalesce.
+				// duplicate values fold in source order, like CSCFromCOO.
 				for j < n && keys[j]>>32 == row {
 					v += vbuf[uint32(keys[j])]
 					j++

@@ -37,7 +37,7 @@ func TestWidthSelectionBoundary(t *testing.T) {
 // content — Equal, Validate, column views, row lengths, permutations.
 func TestForceWideEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	m := randomCOO(rng, 300, 200, 4000).Coalesce()
+	m := canonical(randomCOO(rng, 300, 200, 4000))
 	narrow := CSCFromCOO(m)
 	if narrow.IndexBits() != 16 {
 		t.Fatalf("300-row matrix stored %d-bit", narrow.IndexBits())
@@ -78,7 +78,7 @@ func TestForceWideEquivalence(t *testing.T) {
 func TestApplyPermutationWidthEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	n := int32(257)
-	m := randomCOO(rng, n, n, 3000).Coalesce()
+	m := canonical(randomCOO(rng, n, n, 3000))
 	narrow := CSCFromCOO(m)
 	wide := CSCFromCOO(m)
 	wide.ForceWide()
