@@ -27,8 +27,8 @@ var cpuProfiling bool
 
 func main() {
 	size := flag.String("size", "small", "dataset size tier: tiny, small, medium")
-	exp := flag.String("exp", "all", "comma-separated experiments (table3,fig5,fig12,fig13,fig14a,fig14b,fig15,table5,fig16a,fig16b,fig17a,fig17b,table6,fig18, plus extensions perf,scaling,utilization,heatmap,poolstats,ablation-overlap,ablation-buffer,ablation-linkwidth,ablation-refresh,ablation-errors) or 'all'")
-	workers := flag.Int("workers", 0, "parallelism: prewarm fan-out and per-machine worker pool (0: NumCPU)")
+	exp := flag.String("exp", "all", "comma-separated experiments (table3,fig5,fig12,fig13,fig14a,fig14b,fig15,table5,fig16a,fig16b,fig17a,fig17b,table6,fig18, plus extensions perf,scaling,utilization,heatmap,ablation-overlap,ablation-buffer,ablation-linkwidth,ablation-refresh,ablation-errors) or 'all'")
+	workers := flag.Int("workers", 0, "goroutines that prewarm the -exp all cells, each running one simulation at a time (0: NumCPU)")
 	jsonPath := flag.String("json", "", "write the perf experiment's machine-readable report (BENCH_perf.json) to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -59,10 +59,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "gearbox-bench: unknown size %q\n", *size)
 		os.Exit(2)
 	}
-	// Machine-level worker pools produce bit-identical results at any
-	// width, so the suite's caches and tables are unaffected by -workers.
-	cfg.Workers = *workers
-
 	suite, err := bench.NewSuite(cfg)
 	if err != nil {
 		fatal(err)
@@ -134,10 +130,6 @@ func main() {
 		},
 		"heatmap": func() (bench.Table, error) {
 			t, _, err := suite.Heatmap()
-			return t, err
-		},
-		"poolstats": func() (bench.Table, error) {
-			t, _, err := suite.PoolStats()
 			return t, err
 		},
 		"perf": func() (bench.Table, error) {

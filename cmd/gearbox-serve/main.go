@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	gearbox-serve [-addr :8642] [-run-workers 1] [-sim-workers 0] [-queue 16]
+//	gearbox-serve [-addr :8642] [-run-workers GOMAXPROCS] [-queue 16]
 //	              [-log text|json] [-debug-addr :8643]
 //
 // Submit runs with POST /v1/runs (the response streams NDJSON lifecycle
@@ -37,14 +37,14 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"runtime"
 
 	"gearbox/internal/serve"
 )
 
 func main() {
 	addr := flag.String("addr", ":8642", "listen address")
-	runWorkers := flag.Int("run-workers", 1, "runs executing concurrently (each owns one pooled machine while it runs)")
-	simWorkers := flag.Int("sim-workers", 0, "worker goroutines per simulation (0: GOMAXPROCS, 1: serial; results are identical)")
+	runWorkers := flag.Int("run-workers", runtime.GOMAXPROCS(0), "runs executing concurrently (each owns one pooled machine while it runs)")
 	queue := flag.Int("queue", 16, "admission queue depth across all tenants; overflow returns 429")
 	logFormat := flag.String("log", "text", "structured log format on stderr: text or json")
 	debugAddr := flag.String("debug-addr", "", "optional second listen address for net/http/pprof (empty: disabled)")
@@ -65,7 +65,6 @@ func main() {
 	s := serve.New(serve.Config{
 		Workers:    *runWorkers,
 		QueueDepth: *queue,
-		SimWorkers: *simWorkers,
 		Logger:     logger,
 	})
 	defer s.Close()

@@ -41,7 +41,7 @@ func main() {
 	placementFlag := flag.String("placement", "shuffled", "placement: shuffled, samesubarray, samebank, samevault, distributed")
 	source := flag.Int("source", 0, "source vertex for bfs/sssp")
 	prIters := flag.Int("pr-iters", 10, "PageRank iterations")
-	workers := flag.Int("workers", 0, "worker goroutines for preprocessing (mtx load, coalesce, partition) and the per-SPU step loops (0: GOMAXPROCS, 1: serial; results are identical)")
+	workers := flag.Int("workers", 0, "worker goroutines for preprocessing: mtx load, RMAT generation, partition (0: GOMAXPROCS, 1: serial; results are identical). The simulation itself runs on one goroutine")
 	tracePath := flag.String("trace", "", "write a chrome://tracing JSON timeline to this file")
 	metricsPath := flag.String("metrics", "", "write a spatial telemetry snapshot (per-SPU/per-link counters) as JSON to this file; .csv extension selects CSV")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")

@@ -163,10 +163,11 @@ type Options struct {
 	Seed      int64
 	// MaxIters bounds iterative apps (0: app default).
 	MaxIters int
-	// Workers sizes the deterministic worker pool used both for the per-SPU
-	// step loops of the simulation and for preprocessing (partition plan
-	// build, permutation apply, CSC rebuild). 0 selects GOMAXPROCS, 1
-	// forces the serial path. Results are bit-identical for every value.
+	// Workers sizes the deterministic worker pool of preprocessing
+	// (partition plan build, permutation apply, CSC rebuild). 0 selects
+	// GOMAXPROCS, 1 forces the serial path. Results are bit-identical for
+	// every value. The simulation itself always runs on the calling
+	// goroutine.
 	Workers int
 }
 
@@ -249,7 +250,6 @@ func NewSystem(m *Matrix, opts Options) (*System, error) {
 	}
 	mcfg := core.DefaultConfig()
 	mcfg.Geo, mcfg.Tim = geo, tim
-	mcfg.Workers = opts.Workers
 	s := &System{
 		opts:   opts,
 		matrix: m,
@@ -557,7 +557,6 @@ func NewMultiStackDevice(m *Matrix, stacks int, opts Options) (*MultiStackDevice
 	cfg := multistack.DefaultConfig()
 	cfg.Stacks = stacks
 	cfg.Partition = pcfg
-	cfg.Machine.Workers = opts.Workers
 	if opts.Geometry != nil {
 		cfg.Machine.Geo = *opts.Geometry
 	}

@@ -216,7 +216,7 @@ func markExits(stmts []ast.Stmt, exitsAfter map[*ast.CallExpr]bool) {
 // Derived computes the transitive forward closure of values derived from
 // seeds within the frame: an object is derived if it is a seed, if any of
 // its definitions' source expressions mentions a derived object (assignment,
-// := declaration, or range binding — `keys := m.emit[k].bKey[w]` with param
+// := declaration, or range binding — `keys := m.bufs[k].keys[w]` with param
 // w marks keys; ranging over keys marks the key/value variables), or if it
 // is a parameter of a frame-local func literal whose every call in the frame
 // passes a derived argument in that position.
@@ -366,7 +366,7 @@ func endsInExit(body *ast.BlockStmt) bool {
 
 // RootObject resolves the base object a write or read ultimately touches:
 // it unwraps index, slice, selector, star, and paren expressions down to the
-// leftmost identifier. `m.emit[k].bKey[b]` roots at m; `(*p).f` roots at p.
+// leftmost identifier. `m.bufs[k].keys[b]` roots at m; `(*p).f` roots at p.
 // Returns nil when the base is not a plain identifier (a call result, a
 // composite literal).
 func (f *Frame) RootObject(expr ast.Expr) types.Object {

@@ -16,21 +16,20 @@
 //     memory do NOT propagate it: a value loaded via the worker's range is
 //     the worker's data, not a proof it stays inside the worker's range.
 //   - alias taint: references reached through a parameter-indexed path
-//     (`e := &m.emit[k]`, `c := &m.scr.mergePW[w]`,
-//     `rep := m.replica(k)`), plus selectors of such values
-//     (`r := m.plan.Ranges[k]; v := r.First` keeps v index-tainted).
+//     (`e := &bufs[k]`, `c := &counts[w]`, `rep := replica(k)`), plus
+//     selectors of such values (`r := ranges[k]; v := r.First` keeps v
+//     index-tainted).
 //
 // A write is accepted when its target roots at an alias-tainted or
 // locally-allocated variable, when some index/slice position on the target
-// path is index-tainted (`m.busy[k]`), or when a dominating or preceding
+// path is index-tainted (`busy[k]`), or when a dominating or preceding
 // guard compares the written index (or a value derived from it) against an
 // index-tainted bound — the `if int(idx) < lo || int(idx) >= hi { continue }`
 // and `case owner == int32(k):` ownership shapes. Everything else is
-// reported. Sites whose safety rests on a dynamic sharding invariant the
-// analyzer cannot see (a destination read out of a per-block bucket: the
-// step 5 fold of dispatched pairs, the step 6 replica reduction) carry
-// //gearbox:nondet-ok <reason>; the CI -race job is their dynamic
-// cross-check.
+// reported. A site whose safety rests on a dynamic sharding invariant the
+// analyzer cannot see (say, a destination read out of a per-block bucket)
+// must carry //gearbox:nondet-ok <reason>, and the CI -race job is its
+// dynamic cross-check.
 package sharedwrite
 
 import (
@@ -51,8 +50,8 @@ var Analyzer = &analysis.Analyzer{
 func run(pass *analysis.Pass) error {
 	ann := analysis.ScanAnnotations(pass.Fset, pass.Files...)
 	// Index every method declaration and every func-literal assignment to a
-	// struct field, so bound worker bodies (m.fnStep2 = func…; m.fnStep3 =
-	// m.step3SPUBody) resolve to their code.
+	// struct field, so bound worker bodies (s.fn = func…; s.fn = s.body)
+	// resolve to their code.
 	decls := make(map[types.Object]*ast.FuncDecl)
 	fieldLits := make(map[types.Object][]ast.Expr)
 	for _, f := range pass.Files {
@@ -378,9 +377,9 @@ func (c *checker) mentionsAnyTaint(e ast.Expr) bool {
 
 // aliasExpr reports whether e yields a reference into worker-owned memory:
 // an expression rooted at captured state with an index-tainted index or
-// slice bound on its path (`m.emit[k]`, `m.scr.redPW[w]`,
-// `buf[lo:hi]`), an address of such, a selector/index of an alias-tainted
-// local, or a call passing an index-tainted argument (`m.replica(k)`).
+// slice bound on its path (`bufs[k]`, `counts[w]`, `buf[lo:hi]`), an
+// address of such, a selector/index of an alias-tainted local, or a call
+// passing an index-tainted argument (`replica(k)`).
 func (c *checker) aliasExpr(e ast.Expr) bool {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.UnaryExpr:
@@ -549,8 +548,8 @@ func (c *checker) checkCopy(call *ast.CallExpr) {
 }
 
 // pathIndexTainted reports whether any index or slice bound on the target
-// path is worker-derived: directly index-tainted (m.busy[k], buf[lo:hi],
-// m.emit[k].bKey[b]) or pure range-preserving arithmetic over tainted data
+// path is worker-derived: directly index-tainted (busy[k], buf[lo:hi],
+// bufs[k].keys[b]) or pure range-preserving arithmetic over tainted data
 // (c.Offsets[e.Col+1] where e was loaded from the worker's block).
 func (c *checker) pathIndexTainted(target ast.Expr) bool {
 	for {

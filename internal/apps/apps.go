@@ -18,10 +18,9 @@ import (
 // Names lists the applications in paper order (Fig. 12's x-axis).
 var Names = []string{"BFS", "PR", "SPKNN", "SSSP", "SVM"}
 
-// RunConfig selects the hardware configuration an app runs on.
-// Machine.Workers sizes the simulator's deterministic worker pool; app
-// results and statistics are bit-identical for any value, so callers can
-// parallelize freely.
+// RunConfig selects the hardware configuration an app runs on. Each run
+// simulates on the calling goroutine, so callers parallelize by running
+// apps concurrently on separate machines.
 type RunConfig struct {
 	Partition partition.Config
 	Machine   gearbox.Config

@@ -30,7 +30,6 @@ func (s *Suite) ablationRun(mutate func(*gearbox.Config)) (float64, int, error) 
 		}
 		mcfg := gearbox.DefaultConfig()
 		mcfg.Geo, mcfg.Tim = s.Cfg.Geo, s.Cfg.Tim
-		mcfg.Workers = s.Cfg.Workers
 		mutate(&mcfg)
 		run := apps.RunConfig{Partition: pcfg, Machine: mcfg, Plan: plan}
 		out, err := apps.PageRank(d.Matrix, s.Cfg.PRDamping, s.Cfg.PRIters, run)
@@ -137,7 +136,6 @@ func (s *Suite) AblationErrorRate() (Table, map[float64]float64, error) {
 	run := func(rate float64) ([]float32, error) {
 		mcfg := gearbox.DefaultConfig()
 		mcfg.Geo, mcfg.Tim = s.Cfg.Geo, s.Cfg.Tim
-		mcfg.Workers = s.Cfg.Workers
 		mcfg.BitErrorRate = rate
 		mcfg.ErrorSeed = 99
 		out, err := apps.PageRank(d.Matrix, s.Cfg.PRDamping, s.Cfg.PRIters,

@@ -8,19 +8,18 @@ import (
 	"gearbox/internal/partition"
 )
 
-// benchmarkBFS drives a full multi-iteration BFS traversal of the holly
-// RMAT preset per op — the app-level counterpart of the gearbox package's
-// per-iteration benchmarks. Each traversal is dozens of chained
+// BenchmarkBFSAppSerial drives a full multi-iteration BFS traversal of the
+// holly RMAT preset per op — the app-level counterpart of the gearbox
+// package's per-iteration benchmarks. Each traversal is dozens of chained
 // DistributeFrontier/Iterate/Recycle cycles, so allocs/op directly shows
 // whether the steady-state recycle path holds up under a real frontier
 // schedule (growing, peaking, draining).
-func benchmarkBFS(b *testing.B, workers int) {
+func BenchmarkBFSAppSerial(b *testing.B) {
 	ds, err := gen.Load("holly", gen.Small)
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := apps.DefaultRunConfig()
-	cfg.Machine.Workers = workers
 	// Prebuild the partition once so the benchmark measures the iteration
 	// loop, not plan construction.
 	plan, err := partition.Build(ds.Matrix, cfg.Machine.Geo, cfg.Partition)
@@ -40,6 +39,3 @@ func benchmarkBFS(b *testing.B, workers int) {
 		}
 	}
 }
-
-func BenchmarkBFSAppSerial(b *testing.B)   { benchmarkBFS(b, 1) }
-func BenchmarkBFSAppParallel(b *testing.B) { benchmarkBFS(b, 0) }

@@ -38,7 +38,6 @@ func (s *Suite) SweepGeometry() (Table, map[int]float64, error) {
 		}
 		mcfg := gearbox.DefaultConfig()
 		mcfg.Geo, mcfg.Tim = geo, s.Cfg.Tim
-		mcfg.Workers = s.Cfg.Workers
 		out, err := apps.PageRank(d.Matrix, s.Cfg.PRDamping, s.Cfg.PRIters,
 			apps.RunConfig{Partition: pcfg, Machine: mcfg, Plan: plan})
 		if err != nil {

@@ -35,14 +35,8 @@ type PerfEntry struct {
 	GTEPS float64 `json:"gteps"`
 	// Host-side columns: what the run cost the machine executing the
 	// simulator, as opposed to the simulated machine. Noisy across hosts;
-	// diffed with tolerance, never exactly. HostWallNs is the serial
-	// (Workers=1) wall time; HostWallParNs re-runs the same cell on the
-	// worker pool at Workers=GOMAXPROCS — the two columns together are
-	// the host-speedup trajectory of the parallel iteration engine. The
-	// simulated metrics are bit-identical between the two runs (the
-	// equivalence suite enforces it), so only the serial run's are reported.
+	// diffed with tolerance, never exactly.
 	HostWallNs     int64 `json:"host_wall_ns"`
-	HostWallParNs  int64 `json:"host_wall_par_ns"`
 	HostAllocBytes int64 `json:"host_alloc_bytes"`
 	HostMallocs    int64 `json:"host_mallocs"`
 }
@@ -84,18 +78,15 @@ func hostMeasure(fn func() error) (hostCost, error) {
 }
 
 // Perf runs every application on every dataset at GearboxV3 and reports the
-// headline simulated metrics per cell, plus host wall/alloc columns (serial
-// and parallel engine). Both host columns
-// bypass the run cache — the cache key has no worker dimension, and a cached
-// result would report zero wall time.
+// headline simulated metrics per cell, plus host wall/alloc columns. The
+// runs bypass the run cache: a cached result would report zero wall time.
 func (s *Suite) Perf() (Table, PerfReport, error) {
 	t := Table{
 		Title:  "Perf trajectory (GearboxV3, simulated headline metrics + host cost)",
-		Header: []string{"dataset", "app", "time_us", "energy_mJ", "iters", "nnz", "GTEPS", "host_ms", "host_par_ms", "host_MB"},
+		Header: []string{"dataset", "app", "time_us", "energy_mJ", "iters", "nnz", "GTEPS", "host_ms", "host_MB"},
 		Notes: []string{
 			"simulated columns are deterministic: any diff against a prior BENCH_perf.json is a modeling change",
 			"host_* columns are machine-dependent; compare with tolerance",
-			fmt.Sprintf("host_ms runs Workers=1, host_par_ms the worker pool at Workers=GOMAXPROCS (%d here); simulated results are bit-identical between the two", runtime.GOMAXPROCS(0)),
 		},
 	}
 	rep := PerfReport{Size: s.Cfg.Size.String()}
@@ -110,7 +101,7 @@ func (s *Suite) Perf() (Table, PerfReport, error) {
 			var iters int
 			var nnz int64
 			host, err := hostMeasure(func() error {
-				res, err := s.execute(app, d, pcfg, s.Cfg.Tim, 1)
+				res, err := s.execute(app, d, pcfg, s.Cfg.Tim)
 				if err != nil {
 					return err
 				}
@@ -126,21 +117,6 @@ func (s *Suite) Perf() (Table, PerfReport, error) {
 			if err != nil {
 				return t, rep, err
 			}
-			var parTimeNs float64
-			hostPar, err := hostMeasure(func() error {
-				res, err := s.execute(app, d, pcfg, s.Cfg.Tim, 0)
-				if err != nil {
-					return err
-				}
-				parTimeNs = res.Stats.TimeNs()
-				return nil
-			})
-			if err != nil {
-				return t, rep, err
-			}
-			if parTimeNs != timeNs {
-				return t, rep, fmt.Errorf("bench: %s/%s simulated time diverges between serial (%v) and parallel (%v) engines", d.Name, app, timeNs, parTimeNs)
-			}
 			rep.Entries = append(rep.Entries, PerfEntry{
 				Dataset:        d.Name,
 				App:            app,
@@ -151,14 +127,13 @@ func (s *Suite) Perf() (Table, PerfReport, error) {
 				ProcessedNNZ:   nnz,
 				GTEPS:          gteps,
 				HostWallNs:     host.wallNs,
-				HostWallParNs:  hostPar.wallNs,
 				HostAllocBytes: host.allocBytes,
 				HostMallocs:    host.mallocs,
 			})
 			t.Rows = append(t.Rows, []string{
 				d.Name, app, f1(timeNs / 1e3), f3(energyJ * 1e3),
 				fmt.Sprintf("%d", iters), fmt.Sprintf("%d", nnz), f3(gteps),
-				f1(float64(host.wallNs) / 1e6), f1(float64(hostPar.wallNs) / 1e6),
+				f1(float64(host.wallNs) / 1e6),
 				f1(float64(host.allocBytes) / (1 << 20)),
 			})
 		}

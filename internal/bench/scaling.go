@@ -30,7 +30,6 @@ func (s *Suite) Scaling() (Table, map[int]float64, error) {
 		cfg := multistack.DefaultConfig()
 		cfg.Stacks = stacks
 		cfg.Machine.Geo, cfg.Machine.Tim = s.Cfg.Geo, s.Cfg.Tim
-		cfg.Machine.Workers = s.Cfg.Workers
 		cfg.Partition.LongFrac = s.Cfg.LongFrac
 		dev, err := multistack.New(d.Matrix, semiring.PlusTimes{}, cfg)
 		if err != nil {

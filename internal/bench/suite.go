@@ -36,11 +36,6 @@ type Config struct {
 	// overrides it).
 	LongFrac float64
 	Seed     int64
-	// Workers sizes each simulated machine's deterministic worker pool
-	// (gearbox.Config.Workers): 0 = GOMAXPROCS, 1 = serial. Simulated
-	// results are bit-identical either way, so the run cache stays valid
-	// for any value.
-	Workers int
 }
 
 // DefaultConfig runs the Small tier: every dataset in the hundred-thousand-
@@ -145,10 +140,8 @@ func (s *Suite) versionConfig(version string) (partition.Config, error) {
 var Versions = []string{"V1", "HypoV2", "V2", "V3"}
 
 // Run executes (or fetches) one application on one dataset under one
-// partition config and timing. The cache key deliberately omits the worker
-// count: simulated results are bit-identical at any width, so a cached run
-// answers for every Workers value. Callers that measure HOST cost per worker
-// count (Perf's serial/parallel columns) must use the uncached execute.
+// partition config and timing. Callers that measure HOST cost (Perf's host
+// columns) must use the uncached execute.
 func (s *Suite) Run(app string, d *gen.Dataset, pcfg partition.Config, tim mem.Timing) (*apps.Result, error) {
 	key := fmt.Sprintf("%s|%s|%v|%v|%v|%v|%v|%d|%g", app, d.Name, pcfg.Scheme, pcfg.Placement, pcfg.LongFrac, pcfg.Replicate, pcfg.Balance, pcfg.Seed, tim.SPUFreqHz)
 	s.mu.Lock()
@@ -157,7 +150,7 @@ func (s *Suite) Run(app string, d *gen.Dataset, pcfg partition.Config, tim mem.T
 	if ok {
 		return r, nil
 	}
-	res, err := s.execute(app, d, pcfg, tim, s.Cfg.Workers)
+	res, err := s.execute(app, d, pcfg, tim)
 	if err != nil {
 		return nil, err
 	}
@@ -167,17 +160,15 @@ func (s *Suite) Run(app string, d *gen.Dataset, pcfg partition.Config, tim mem.T
 	return res, nil
 }
 
-// execute runs one cell uncached with an explicit machine worker count —
-// the primitive behind Run and behind Perf's per-worker-count host timing.
-// Plans are still shared through the plan cache (they are worker-independent).
-func (s *Suite) execute(app string, d *gen.Dataset, pcfg partition.Config, tim mem.Timing, workers int) (*apps.Result, error) {
+// execute runs one cell uncached — the primitive behind Run and behind
+// Perf's host timing. Plans are still shared through the plan cache.
+func (s *Suite) execute(app string, d *gen.Dataset, pcfg partition.Config, tim mem.Timing) (*apps.Result, error) {
 	plan, err := s.plan(d, pcfg)
 	if err != nil {
 		return nil, err
 	}
 	mcfg := gearbox.DefaultConfig()
 	mcfg.Geo, mcfg.Tim = s.Cfg.Geo, tim
-	mcfg.Workers = workers
 	run := apps.RunConfig{Partition: pcfg, Machine: mcfg, Plan: plan}
 
 	var res apps.Result

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"gearbox/internal/obs"
-	"gearbox/internal/partition"
 	"gearbox/internal/semiring"
 	"gearbox/internal/telemetry"
 )
@@ -25,7 +24,7 @@ func TestIterateSteadyStateAllocs(t *testing.T) {
 	m := testMatrix(t, 31)
 	for _, vc := range versionConfigs() {
 		t.Run(vc.name, func(t *testing.T) {
-			mach := machineWithWorkers(t, m, vc.cfg, semiring.PlusTimes{}, 1, nil)
+			mach := buildMachine(t, m, vc.cfg, semiring.PlusTimes{})
 			entries := randomFrontier(m.NumRows, 60, 7)
 			var buf []FrontierEntry
 			cycle := func() {
@@ -63,7 +62,7 @@ func TestIterateSteadyStateAllocsTelemetry(t *testing.T) {
 	m := testMatrix(t, 33)
 	for _, vc := range versionConfigs() {
 		t.Run(vc.name, func(t *testing.T) {
-			mach := machineWithWorkers(t, m, vc.cfg, semiring.PlusTimes{}, 1, nil)
+			mach := buildMachine(t, m, vc.cfg, semiring.PlusTimes{})
 			sp := telemetry.NewSpatialStats(mach.TelemetryShape())
 			mach.SetTelemetry(sp)
 			entries := randomFrontier(m.NumRows, 60, 7)
@@ -102,7 +101,7 @@ func TestIterateSteadyStateAllocsObsSink(t *testing.T) {
 	sink := telemetry.NewObsSink(obs.NewRegistry())
 	for _, vc := range versionConfigs() {
 		t.Run(vc.name, func(t *testing.T) {
-			mach := machineWithWorkers(t, m, vc.cfg, semiring.PlusTimes{}, 1, nil)
+			mach := buildMachine(t, m, vc.cfg, semiring.PlusTimes{})
 			mach.SetTelemetry(sink)
 			entries := randomFrontier(m.NumRows, 60, 7)
 			var buf []FrontierEntry
@@ -126,41 +125,5 @@ func TestIterateSteadyStateAllocsObsSink(t *testing.T) {
 				t.Fatalf("steady-state iteration with obs sink allocates: %.1f allocs/op, want ~0", avg)
 			}
 		})
-	}
-}
-
-// TestIterateSteadyStateAllocsParallel covers the worker-pool path: the
-// fork-join goroutines themselves are the only steady-state cost, so the
-// budget allows the handful of allocations Go makes per spawned region
-// batch but still catches per-entry or per-SPU churn (thousands of allocs).
-func TestIterateSteadyStateAllocsParallel(t *testing.T) {
-	m := testMatrix(t, 32)
-	mach := machineWithWorkers(t, m, partition.DefaultConfig(), semiring.PlusTimes{}, 4, nil)
-	entries := randomFrontier(m.NumRows, 60, 7)
-	var buf []FrontierEntry
-	cycle := func() {
-		f, err := mach.DistributeFrontier(entries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		next, _, err := mach.Iterate(f, IterateOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mach.Recycle(f)
-		buf = next.AppendEntries(buf[:0])
-		mach.Recycle(next)
-	}
-	for i := 0; i < 3; i++ {
-		cycle()
-	}
-	// The hot path runs five parallel regions per iteration (steps 2, 3 and
-	// 5, step 6's emit and replica reduction) plus the reduce-stage
-	// goroutine spawn. Each region costs its dispenser escape plus up to
-	// Workers goroutine spawns — 45 allocations measured, independent of
-	// frontier size. Per-entry or per-SPU churn would blow past this budget
-	// by an order of magnitude.
-	if avg := testing.AllocsPerRun(10, cycle); avg > 56 {
-		t.Fatalf("parallel steady-state iteration allocates: %.1f allocs/op", avg)
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"gearbox/internal/partition"
 	"gearbox/internal/semiring"
+	"gearbox/internal/telemetry"
 )
 
 // longActivationGolden pins the digest of a two-iteration run driven by a
@@ -21,6 +22,60 @@ var longActivationGolden = map[string]uint64{
 	"HypoV2": 0x0b6f8c4ef997d58b,
 	"V2":     0x3de96537e59a5ce2,
 	"V3":     0xb7549603ac8b3f2d,
+}
+
+// iterateGolden pins the digests of the runs the serial engine is fenced by:
+// chained runs and the V3 replica reduction (digestRun) and spatial
+// telemetry snapshots (digestTelemetry). They were captured from the
+// worker-pool engine the serial one replaced, on which Workers 1 and 4
+// produced these same digests; any change to a fold order, a float sum or
+// an event count changes them.
+var iterateGolden = map[string]uint64{
+	"V1/plustimes-random":     0x0bde6ddcd7b5292a,
+	"V1/minplus-sources":      0xa33d8560d9e1dfca,
+	"HypoV2/plustimes-random": 0x793b34163dde4b64,
+	"HypoV2/minplus-sources":  0xf79ac11620edde62,
+	"V2/plustimes-random":     0x026a7d38dd69888e,
+	"V2/minplus-sources":      0xc33c1e62bf19c7db,
+	"V3/plustimes-random":     0x243962e7a8456cae,
+	"V3/minplus-sources":      0xfb015ac04e15aeed,
+	"error-injection":         0x540a563efa77ce49,
+	"v3-reduction":            0x4650cef4047e212a,
+	"telemetry/V1":            0x5a33bf3fb6aae417,
+	"telemetry/HypoV2":        0x6db713a33daa63a5,
+	"telemetry/V2":            0x1feed3a0d53f087e,
+	"telemetry/V3":            0xf7568d23c20255d1,
+}
+
+// checkGolden fails t unless got is the iterateGolden digest for key.
+func checkGolden(t *testing.T, key string, got uint64) {
+	t.Helper()
+	want, ok := iterateGolden[key]
+	if !ok {
+		t.Fatalf("no golden digest for %q", key)
+	}
+	if got != want {
+		t.Fatalf("%s: digest %#016x, want %#016x", key, got, want)
+	}
+}
+
+// digestRun digests a run: every iteration's statistics and returned
+// frontier, then the machine's simulated clock and injected flip count.
+func digestRun(mach *Machine, stats []IterStats, frontiers []*Frontier) uint64 {
+	h := fnv.New64a()
+	for i := range stats {
+		digestIteration(h, stats[i], frontiers[i])
+	}
+	fmt.Fprintf(h, "now=%v injected=%d\n", mach.NowNs(), mach.ErrorsInjected())
+	return h.Sum64()
+}
+
+// digestTelemetry digests a spatial telemetry snapshot. %+v prints every
+// float in its shortest round-tripping form, so the text is bit-exact.
+func digestTelemetry(sp *telemetry.SpatialStats) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%+v\n", sp)
+	return h.Sum64()
 }
 
 // digestIteration folds one iteration's statistics and returned frontier
@@ -48,7 +103,7 @@ func digestIteration(h hash.Hash64, st IterStats, next *Frontier) {
 // TestLongActivationOrderGolden feeds Iterate a long frontier in the order
 // a caller may build it — unsorted, with one long column activated twice,
 // and with non-integer plus-times values so float fold order is observable —
-// and checks the run against a captured digest at Workers 1 and 4.
+// and checks the run against a captured digest.
 func TestLongActivationOrderGolden(t *testing.T) {
 	m := testMatrix(t, 29)
 	cfgs := map[string]partition.Config{
@@ -58,40 +113,38 @@ func TestLongActivationOrderGolden(t *testing.T) {
 	}
 	for _, name := range []string{"HypoV2", "V2", "V3"} {
 		t.Run(name, func(t *testing.T) {
-			for _, workers := range []int{1, 4} {
-				mach := machineWithWorkers(t, m, cfgs[name], semiring.PlusTimes{}, workers, nil)
-				last := mach.Plan().LastLong
-				if last < 4 {
-					t.Fatalf("plan has %d long columns, want at least 5", last+1)
-				}
-				// Long activations out of order, one repeated, interleaved
-				// with short ones; DistributeFrontier keeps the given order.
-				entries := []FrontierEntry{
-					{Index: last, Value: 0.37},
-					{Index: last + 3, Value: 1.21},
-					{Index: 2, Value: 0.113},
-					{Index: last / 2, Value: 2.71},
-					{Index: last + 17, Value: 0.59},
-					{Index: 2, Value: 0.87},
-					{Index: 0, Value: 1.618},
-					{Index: last - 1, Value: 0.0271},
-				}
-				h := fnv.New64a()
-				f, err := mach.DistributeFrontier(entries)
+			mach := buildMachine(t, m, cfgs[name], semiring.PlusTimes{})
+			last := mach.Plan().LastLong
+			if last < 4 {
+				t.Fatalf("plan has %d long columns, want at least 5", last+1)
+			}
+			// Long activations out of order, one repeated, interleaved
+			// with short ones; DistributeFrontier keeps the given order.
+			entries := []FrontierEntry{
+				{Index: last, Value: 0.37},
+				{Index: last + 3, Value: 1.21},
+				{Index: 2, Value: 0.113},
+				{Index: last / 2, Value: 2.71},
+				{Index: last + 17, Value: 0.59},
+				{Index: 2, Value: 0.87},
+				{Index: 0, Value: 1.618},
+				{Index: last - 1, Value: 0.0271},
+			}
+			h := fnv.New64a()
+			f, err := mach.DistributeFrontier(entries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for it := 0; it < 2; it++ {
+				next, st, err := mach.Iterate(f, IterateOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				for it := 0; it < 2; it++ {
-					next, st, err := mach.Iterate(f, IterateOptions{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					digestIteration(h, st, next)
-					f = next
-				}
-				if got, want := h.Sum64(), longActivationGolden[name]; got != want {
-					t.Fatalf("Workers=%d: digest %#x, want %#x", workers, got, want)
-				}
+				digestIteration(h, st, next)
+				f = next
+			}
+			if got, want := h.Sum64(), longActivationGolden[name]; got != want {
+				t.Fatalf("digest %#x, want %#x", got, want)
 			}
 		})
 	}

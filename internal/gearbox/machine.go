@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"gearbox/internal/fulcrum"
 	"gearbox/internal/interconnect"
@@ -102,15 +101,13 @@ type Config struct {
 	// accumulated contributions at the given per-accumulation probability
 	// (§9: graph processing tolerates DRAM-class error rates). Zero
 	// disables injection. Every SPU draws from its own splitmix64 stream
-	// keyed by (ErrorSeed, SPU index), so injection is reproducible and
-	// independent of how the step loops are sharded across workers.
+	// keyed by (ErrorSeed, SPU index), so injection is reproducible.
 	BitErrorRate float64
 	ErrorSeed    uint64
-	// Workers sizes the deterministic worker pool that shards the per-SPU
-	// loops of steps 2, 3, 5 and 6 across goroutines: 0 selects
-	// GOMAXPROCS, 1 is the serial path. Simulated results (RunStats,
-	// frontiers, outputs) are bit-identical for every value; see DESIGN.md
-	// "Execution model" for the merge-order rules that guarantee it.
+	// Deprecated: Workers is ignored; Iterate runs every step on the
+	// calling goroutine. The field is kept only because the benchmark
+	// harness under perfbench/ still sets it; it goes away with the next
+	// change to that benchmark.
 	Workers int
 }
 
@@ -131,7 +128,7 @@ type Machine struct {
 	cfg  Config
 	net  *interconnect.Network
 	eng  *sim.Engine
-	pool *par.Pool
+	pool *par.Pool // one idle worker; see Pool
 
 	clean  float32
 	output []float32 // dense output vector, relabeled index space
@@ -144,9 +141,7 @@ type Machine struct {
 	logicDirty []int32
 
 	// Per-SPU error-injection stream states (splitmix64) and flip counts.
-	// One stream per SPU keeps injection deterministic under any worker
-	// sharding: SPU k always draws the same sequence regardless of which
-	// goroutine runs its loop.
+	// SPU k always draws the same sequence, in its own accumulation order.
 	errStates []uint64
 	errCounts []int64
 
@@ -154,16 +149,6 @@ type Machine struct {
 	busy      []float64
 	dirty     [][]int32 // newly non-clean short indexes per SPU
 	dirtyLong [][]int32 // newly non-clean replica slots per SPU (V3)
-	// Block counts of the destination-sharded folds, fixed at New
-	// (foldBlocks): dstBlocks over destination SPUs (step 5, the
-	// HypoGearboxV2 owner-shard merge), slotBlocks over logic-accumulator
-	// slots (the step 3 logic merge, the step 6 replica reduction).
-	dstBlocks, slotBlocks int
-	// Step 6 reduce buckets (V3): redBlockOf maps a long slot to the reduce
-	// block that owns it, and redBucket[b] lists block b's dirty replica
-	// slots as k<<32|slot keys, ascending by SPU k (runStep6Reduce).
-	redBlockOf []int32
-	redBucket  [][]uint64
 	// longWork[k] is SPU k's step 3 worklist: the LongEntries ranges of the
 	// long pieces this iteration's frontier activates on SPU k, in frontier
 	// order (buildLongWork).
@@ -172,14 +157,9 @@ type Machine struct {
 	// emitters lists, ascending, the SPUs whose step 3 sent dispatcher
 	// pairs this iteration; step 5 folds only their buckets.
 	emitters []int32
-	// dstBlockOf maps a destination SPU to the step 5 block that owns it;
-	// step 3 buckets its pairs by it so the fold of block b reads
-	// contiguous runs instead of filtering every pair once per worker.
-	dstBlockOf []int32
-	scr        scratch        // pooled per-iteration accounting buffers
-	reduceWG   sync.WaitGroup // joins step 6's reduce-stage goroutine
+	scr      scratch // pooled per-iteration accounting buffers
 
-	// Plan facts cached at New so the worker bodies read fields instead of
+	// Plan facts cached at New so the step loops read fields instead of
 	// recomputing per call.
 	hypo      bool    // HypoLogicLayer scheme
 	replicate bool    // V3 replicated long region
@@ -193,47 +173,30 @@ type Machine struct {
 	// pre-reset stragglers are rejected instead of corrupting the next run.
 	runEpoch int32
 
-	// Current-iteration state published for the pre-bound worker bodies
-	// (created once at New, so Iterate never allocates closures).
-	curF     *Frontier
-	curApply *ApplySpec
-	curNext  *Frontier
-	iterSt   IterStats
-
-	fnStep2, fnStep3      func(w, k int)
-	fnApply, fnEmit       func(w, k int)
-	fnStep5, fnMergeLogic func(w, b, lo, hi int)
-	fnMergeHypoShort      func(w, b, lo, hi int)
-	fnReduceRep           func(w, b, lo, hi int)
-	fnReduceStage         func()
-
 	instrCosts costs
 
 	// Spatial telemetry: nil means disabled (the hot path pays one nil check
 	// per step). The tel* arrays are SPU-indexed step-3 accumulation counts,
-	// rewritten each iteration by step3SPUBody only while a sink is attached;
+	// rewritten each iteration by step3SPU only while a sink is attached;
 	// iterCount numbers BeginIteration callbacks across the machine's life.
 	tel                         telemetry.Sink
 	telLocal, telRemote, telLng []int64
 	iterCount                   int
 }
 
-// spuEmit buffers the shared-state effects SPU k's step 3 loop produces, so
-// the loop itself can run on any worker goroutine while the effects are
-// folded later in fixed SPU order (bit-identical to the serial path): the
-// logic-layer contributions after step 3's barrier, the dispatcher pairs by
-// step 5 straight out of the buckets. The layouts are SoA: packed 8-byte
-// keys plus a parallel value array stream through the fold in
-// cache-line-sized runs.
+// spuEmit buffers the shared-state effects SPU k's step 3 loop produces
+// until they are folded in fixed SPU order: the logic-layer contributions
+// at the end of step 3, the dispatcher pairs by step 5 straight out of the
+// buckets. The layouts are SoA: packed 8-byte keys plus a parallel value
+// array stream through the fold in cache-line-sized runs.
 type spuEmit struct {
-	// bKey[b]/bVal[b] hold the dispatcher traffic bound for destination
-	// block b — local clean-indicator pairs (dst == k) and remote
-	// accumulations (dst == owner) — in emission order. A key packs
-	// dst<<32 | uint32(enc), where enc is the row index for a remote
-	// accumulation and ^row (negative) for a clean-indicator pair; values
-	// align one-to-one (clean pairs carry 0).
-	bKey [][]uint64
-	bVal [][]float32
+	// key/val hold the dispatcher traffic — local clean-indicator pairs
+	// (dst == k) and remote accumulations (dst == owner) — in emission
+	// order. A key packs dst<<32 | uint32(enc), where enc is the row index
+	// for a remote accumulation and ^row (negative) for a clean-indicator
+	// pair; values align one-to-one (clean pairs carry 0).
+	key []uint64
+	val []float32
 	// logicIdx/logicVal are the contributions bound for shared logic-layer
 	// state (V2 long sends; in HypoGearboxV2, every accumulation), in
 	// emission order.
@@ -308,7 +271,7 @@ func New(plan *partition.Plan, sem semiring.Semiring, cfg Config) (*Machine, err
 		cfg:        cfg,
 		net:        net,
 		eng:        sim.New(),
-		pool:       par.New(cfg.Workers),
+		pool:       par.New(1),
 		clean:      sem.Zero(),
 		output:     make([]float32, n),
 		busy:       make([]float64, plan.NumSPUs),
@@ -426,32 +389,29 @@ func (m *Machine) Iterate(f *Frontier, opts IterateOptions) (*Frontier, IterStat
 		return nil, IterStats{}, fmt.Errorf("gearbox: apply vector length %d, want %d", len(opts.Apply.Y), m.plan.Matrix.NumRows) //gearbox:alloc-ok cold path: caller misuse aborts the iteration
 	}
 
-	// Iteration state lives on the machine (not locals captured by closures)
-	// so the pre-bound worker bodies can reach it and the hot path stays
-	// allocation-free. The six §5 steps each compute functionally, then play
-	// their duration as one engine event, so the clock advances through the
-	// iteration and trace subscribers see the same phase timeline the old
-	// event-chain produced.
-	m.iterSt = IterStats{}
-	st := &m.iterSt
-	m.curF, m.curApply, m.curNext = f, opts.Apply, nil
+	// The six §5 steps each compute functionally, then play their duration
+	// as one engine event, so the clock advances through the iteration and
+	// trace subscribers see the same phase timeline the old event-chain
+	// produced.
+	var st IterStats
+	var next *Frontier
 	if m.tel != nil {
 		m.tel.BeginIteration(m.iterCount, m.eng.Now(), int64(f.NNZ()))
 	}
 	for i := 0; i < 6; i++ {
 		switch i {
 		case 0:
-			m.step1FrontierDistribution(f, st)
+			m.step1FrontierDistribution(f, &st)
 		case 1:
-			m.step2OffsetPacking(f, st)
+			m.step2OffsetPacking(f, &st)
 		case 2:
-			m.step3LocalAccumulations(f, st)
+			m.step3LocalAccumulations(f, &st)
 		case 3:
-			m.step4Dispatching(st)
+			m.step4Dispatching(&st)
 		case 4:
-			m.step5RemoteAccumulations(st)
+			m.step5RemoteAccumulations(&st)
 		case 5:
-			m.curNext = m.step6Applying(opts, st)
+			next = m.step6Applying(opts.Apply, &st)
 		}
 		m.eng.After(st.Steps[i].TimeNs, stepNames[i], nil)
 		m.eng.Run()
@@ -460,14 +420,10 @@ func (m *Machine) Iterate(f *Frontier, opts IterateOptions) (*Frontier, IterStat
 		}
 	}
 	m.iterCount++
-
-	next := m.curNext
-	out := m.iterSt
 	if m.tel != nil {
-		m.tel.EndIteration(m.eng.Now(), out.FrontierOut)
+		m.tel.EndIteration(m.eng.Now(), st.FrontierOut)
 	}
-	m.curF, m.curApply, m.curNext = nil, nil, nil
-	return next, out, nil
+	return next, st, nil
 }
 
 // SetTrace subscribes to the engine's phase timeline: fn receives each step
@@ -477,8 +433,7 @@ func (m *Machine) SetTrace(fn func(name string, atNs float64)) { m.eng.Trace = f
 // SetTelemetry attaches a spatial telemetry sink (nil detaches). The sink
 // receives per-SPU, per-link and per-bank counters after every step; see
 // internal/telemetry for the callback contract. All callbacks run on the
-// goroutine driving Iterate with values that are bit-identical at any
-// Config.Workers setting. A steady-state-safe sink (telemetry.SpatialStats)
+// goroutine driving Iterate. A steady-state-safe sink (telemetry.SpatialStats)
 // keeps Iterate allocation-free.
 func (m *Machine) SetTelemetry(s telemetry.Sink) {
 	m.tel = s
@@ -495,14 +450,14 @@ func (m *Machine) TelemetryShape() telemetry.Shape {
 	return telemetry.ShapeOf(m.cfg.Geo, m.plan.NumSPUs)
 }
 
-// Pool exposes the machine's worker pool, e.g. to enable host-side
-// instrumentation (par.Pool.SetInstrumented) on the exact pool the step
-// loops run on.
+// Pool returns the machine's one-worker pool, the same one on every call.
+// No step runs on it, so its instrumented stats (par.Pool.SetInstrumented)
+// stay at zero; it is kept for callers that still read them.
 func (m *Machine) Pool() *par.Pool { return m.pool }
 
 // ResetForRun returns a used machine to its just-built state, so a pooled
-// machine can run another application without re-partitioning or rebuilding
-// its worker pool. Passing a non-nil semiring also swaps the algebra (the
+// machine can run another application without re-partitioning or
+// reallocating its scratch. Passing a non-nil semiring also swaps the algebra (the
 // clean value follows it), letting one machine serve apps over different
 // semirings. After the reset the machine is observationally identical to a
 // freshly built one: the engine clock is back at zero, the output vector,
@@ -550,8 +505,6 @@ func (m *Machine) ResetForRun(sem semiring.Semiring) {
 	}
 	m.resetScratch()
 	m.iterCount = 0
-	m.iterSt = IterStats{}
-	m.curF, m.curApply, m.curNext = nil, nil, nil
 	m.runEpoch++
 }
 
@@ -604,10 +557,8 @@ func (m *Machine) resetScratch() {
 		m.dirtyLong[k] = m.dirtyLong[k][:0]
 		m.longWork[k] = m.longWork[k][:0]
 		e := &m.emit[k]
-		for b := range e.bKey {
-			e.bKey[b] = e.bKey[b][:0]
-			e.bVal[b] = e.bVal[b][:0]
-		}
+		e.key = e.key[:0]
+		e.val = e.val[:0]
 		e.logicIdx = e.logicIdx[:0]
 		e.logicVal = e.logicVal[:0]
 		e.sentPairs = 0
@@ -650,9 +601,8 @@ func errStreamSeed(seed uint64, k int) uint64 {
 }
 
 // corrupt injects a deterministic single-bit mantissa flip with probability
-// BitErrorRate, drawing from SPU spu's private splitmix64 stream. Keeping
-// one stream per SPU makes injection independent of worker sharding: only
-// SPU spu's loop ever advances stream spu, always in the same order.
+// BitErrorRate, drawing from SPU spu's private splitmix64 stream: only SPU
+// spu's loop ever advances stream spu, always in the same order.
 //
 //gearbox:steadystate
 func (m *Machine) corrupt(spu int, v float32) float32 {

@@ -27,11 +27,22 @@ func smallConfig() Config {
 
 func buildMachine(t *testing.T, m *sparse.CSC, pcfg partition.Config, sem semiring.Semiring) *Machine {
 	t.Helper()
+	return buildMachineWith(t, m, pcfg, sem, nil)
+}
+
+// buildMachineWith is buildMachine with mutate, when non-nil, applied to
+// the machine Config first.
+func buildMachineWith(t *testing.T, m *sparse.CSC, pcfg partition.Config, sem semiring.Semiring, mutate func(*Config)) *Machine {
+	t.Helper()
 	plan, err := partition.Build(m, smallGeo(), pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mach, err := New(plan, sem, smallConfig())
+	cfg := smallConfig()
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	mach, err := New(plan, sem, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func frontierShares(a, b *Frontier) bool {
 // the caller is still reading.
 func TestRecycledFrontierNeverAliasesReturned(t *testing.T) {
 	m := testMatrix(t, 41)
-	mach := machineWithWorkers(t, m, partition.DefaultConfig(), semiring.PlusTimes{}, 1, nil)
+	mach := buildMachine(t, m, partition.DefaultConfig(), semiring.PlusTimes{})
 	entries := randomFrontier(m.NumRows, 60, 3)
 
 	f, err := mach.DistributeFrontier(entries)
@@ -89,7 +89,7 @@ func TestRecycledFrontierNeverAliasesReturned(t *testing.T) {
 // arrays).
 func TestRecycleGuards(t *testing.T) {
 	m := testMatrix(t, 42)
-	mach := machineWithWorkers(t, m, partition.DefaultConfig(), semiring.PlusTimes{}, 1, nil)
+	mach := buildMachine(t, m, partition.DefaultConfig(), semiring.PlusTimes{})
 
 	mach.Recycle(nil)
 	mach.Recycle(&Frontier{}) // wrong shape: not built by this machine

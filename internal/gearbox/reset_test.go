@@ -89,7 +89,7 @@ func compareChains(t *testing.T, label string, fresh, reset chainResult) {
 }
 
 // TestResetForRunMatchesFreshBuild is the reset-to-pristine contract: for
-// every Table 4 version and worker count, (build → run A → ResetForRun →
+// every Table 4 version, (build → run A → ResetForRun →
 // run B) is bit-identical — stats, frontiers, clock, telemetry — to
 // (fresh build → run B).
 func TestResetForRunMatchesFreshBuild(t *testing.T) {
@@ -98,22 +98,20 @@ func TestResetForRunMatchesFreshBuild(t *testing.T) {
 	entriesB := randomFrontier(m.NumRows, 45, 23)
 	for _, vc := range versionConfigs() {
 		t.Run(vc.name, func(t *testing.T) {
-			for _, workers := range []int{1, 2, 4, 0} {
-				reused := machineWithWorkers(t, m, vc.cfg, semiring.PlusTimes{}, workers, nil)
-				runChainedObserved(t, reused, entriesA, 3)
-				// Simulate an aborted run: leave dirt that a completed run
-				// would have cleaned itself. ResetForRun must scrub it too.
-				reused.output[0] = 42
-				if len(reused.logicAcc) > 0 {
-					reused.logicAcc[0] = 42
-					reused.logicDirty = append(reused.logicDirty, 0)
-				}
-				reused.ResetForRun(nil)
-				reset := runChainedObserved(t, reused, entriesB, 3)
-
-				fresh := runChainedObserved(t, machineWithWorkers(t, m, vc.cfg, semiring.PlusTimes{}, workers, nil), entriesB, 3)
-				compareChains(t, vc.name, fresh, reset)
+			reused := buildMachine(t, m, vc.cfg, semiring.PlusTimes{})
+			runChainedObserved(t, reused, entriesA, 3)
+			// Simulate an aborted run: leave dirt that a completed run
+			// would have cleaned itself. ResetForRun must scrub it too.
+			reused.output[0] = 42
+			if len(reused.logicAcc) > 0 {
+				reused.logicAcc[0] = 42
+				reused.logicDirty = append(reused.logicDirty, 0)
 			}
+			reused.ResetForRun(nil)
+			reset := runChainedObserved(t, reused, entriesB, 3)
+
+			fresh := runChainedObserved(t, buildMachine(t, m, vc.cfg, semiring.PlusTimes{}), entriesB, 3)
+			compareChains(t, vc.name, fresh, reset)
 		})
 	}
 }
@@ -125,11 +123,8 @@ func TestResetForRunReseedsErrorStreams(t *testing.T) {
 	m := testMatrix(t, 32)
 	entriesA := randomFrontier(m.NumRows, 60, 3)
 	entriesB := randomFrontier(m.NumRows, 60, 5)
-	inject := func(cfg *Config) {
-		cfg.BitErrorRate = 0.05
-		cfg.ErrorSeed = 9
-	}
-	reused := machineWithWorkers(t, m, partition.DefaultConfig(), semiring.PlusTimes{}, 3, inject)
+	inject := injectErrors(0.05, 9)
+	reused := buildMachineWith(t, m, partition.DefaultConfig(), semiring.PlusTimes{}, inject)
 	runChainedObserved(t, reused, entriesA, 2)
 	if reused.ErrorsInjected() == 0 {
 		t.Fatal("run A injected no errors; the regression test has no teeth")
@@ -139,7 +134,7 @@ func TestResetForRunReseedsErrorStreams(t *testing.T) {
 		t.Fatalf("ErrorsInjected = %d after reset, want 0", reused.ErrorsInjected())
 	}
 	reset := runChainedObserved(t, reused, entriesB, 2)
-	fresh := runChainedObserved(t, machineWithWorkers(t, m, partition.DefaultConfig(), semiring.PlusTimes{}, 3, inject), entriesB, 2)
+	fresh := runChainedObserved(t, buildMachineWith(t, m, partition.DefaultConfig(), semiring.PlusTimes{}, inject), entriesB, 2)
 	compareChains(t, "error-injection", fresh, reset)
 }
 
@@ -154,11 +149,11 @@ func TestResetForRunSwapsSemiring(t *testing.T) {
 		entriesB[i].Value = 1 // min-plus distances stay meaningful
 	}
 	cfg := versionConfigs()[3].cfg // V3
-	reused := machineWithWorkers(t, m, cfg, semiring.PlusTimes{}, 2, nil)
+	reused := buildMachine(t, m, cfg, semiring.PlusTimes{})
 	runChainedObserved(t, reused, entriesA, 2)
 	reused.ResetForRun(semiring.MinPlus{})
 	reset := runChainedObserved(t, reused, entriesB, 2)
-	fresh := runChainedObserved(t, machineWithWorkers(t, m, cfg, semiring.MinPlus{}, 2, nil), entriesB, 2)
+	fresh := runChainedObserved(t, buildMachine(t, m, cfg, semiring.MinPlus{}), entriesB, 2)
 	compareChains(t, "semiring-swap", fresh, reset)
 }
 

@@ -14,19 +14,13 @@ import (
 // overhead per step broadcast (§4: "launch a kernel ... by broadcasting at
 // most 8 instructions").
 //
-// The per-SPU loops of steps 2, 3, 5 and 6 are embarrassingly parallel —
-// each subarray pipeline owns a contiguous output shard, its replica and
-// its dirty list — so they run on the machine's worker pool. Everything an
-// SPU would push into shared state (dispatcher pairs, logic-layer
-// contributions, network sends, event counters) is buffered per SPU or per
-// worker during the parallel phase and folded after the barrier. The fold
-// itself is sharded by *destination* (destination SPU, accumulator slot,
-// owner shard): each destination is owned by exactly one worker, which
-// scans the per-SPU buffers in ascending SPU order, so every destination
-// sees the exact serial receive/fold order and the results stay
-// bit-identical to the Workers=1 path. DESIGN.md "Execution model" documents
-// the rules. The worker bodies themselves are bound once at New (see
-// scratch.go) so the steady-state hot path allocates nothing.
+// The simulated SPUs all work at once; the host walks them one after the
+// other on the calling goroutine, because simulated time comes from counted
+// events, not from host threads. Every float result depends only on fold
+// order, and the loops fix it: SPUs and sources are walked in ascending
+// order, each SPU's emissions in emission order, so every destination sees
+// the same receive and fold sequence on every run. DESIGN.md "Execution
+// model" documents the rules.
 
 // step1FrontierDistribution broadcasts the long-activating frontier entries
 // from the logic layer to all subarrays (§5 Step 1) and, for HypoGearboxV2,
@@ -59,48 +53,35 @@ func (m *Machine) step1FrontierDistribution(f *Frontier, st *IterStats) {
 func (m *Machine) step2OffsetPacking(f *Frontier, st *IterStats) {
 	s := &st.Steps[1]
 	s.StallRounds = 1
-	for i := range m.scr.packPW {
-		m.scr.packPW[i] = packCounters{}
-	}
-	m.pool.ForEach("step2-pack", m.plan.NumSPUs, m.fnStep2)
-	var instrs, acts int64
-	for _, c := range m.scr.packPW {
-		instrs += c.instrs
-		acts += c.acts
+	long := int64(len(f.Long))
+	for k := range m.busy {
+		e := int64(len(f.Local[k]))
+		// Owned-column offset lookups walk the shard's offsets array in
+		// sorted order, so activations are bounded by the rows the offsets
+		// span; long entries index the fragment table individually.
+		span := int64(m.plan.Ranges[k].Len())/int64(m.cfg.Geo.WordsPerRow()) + 1
+		a := min(e, span) + long
+		i := (e + long) * m.instrCosts.packInstrs
+		m.busy[k] = float64(i)*m.cyc + float64(a)*m.stallNs(m.instrCosts.packInstrs)
+		s.Events.SPUInstrs += i
+		s.Events.RandRowActs += a
 	}
 	m.busyStats(s)
 	s.TimeNs = m.cfg.Tim.LaunchNs + maxOf(m.busy)*m.refreshFactor()
-	s.Events.SPUInstrs = instrs
-	s.Events.RandRowActs = acts
 }
 
-// step3Counters is the per-worker slice of IterStats/Events fields the
-// parallel phase of step 3 accumulates; they reduce after the barrier.
-// recv[d] counts the dispatcher pairs the worker's SPUs sent to destination
-// SPU d.
-type step3Counters struct {
-	ev                             Events
-	localAccums, remoteAccums      int64
-	longAccums, cleanHits          int64
-	activatedColumns, processedNNZ int64
-	recv                           []int64
-}
-
-// step3SPUBody is SPU k's share of step 3, run on worker w: stream the
-// activated columns and long-column fragments, multiply, and route each
-// contribution. Shard-private compute only — SPU k touches its own output
-// shard, replica, emit buckets and error stream, plus worker w's counters;
-// shared-state effects are deferred to the ordered folds.
+// step3SPU is SPU k's share of step 3: stream the activated columns and
+// long-column fragments, multiply, and route each contribution. It touches
+// SPU k's own output shard, replica, emit buckets and error stream, counts
+// into st and ev, and tallies each dispatched pair in scr.recv. Dispatcher
+// pairs and logic-layer contributions wait in m.emit[k] for their folds.
 //
 //gearbox:steadystate
-func (m *Machine) step3SPUBody(w, k int) {
-	f := m.curF
-	c := &m.scr.s3PW[w]
+func (m *Machine) step3SPU(f *Frontier, k int, st *IterStats, ev *Events) {
 	e := &m.emit[k]
+	recv := m.scr.recv
 	var instr, randActs, seqActs int64
-	// Per-SPU accumulation counts: folded into the per-worker counters after
-	// the loop, and published to the telemetry arrays (SPU k is visited by
-	// exactly one worker per iteration, so plain stores race-free).
+	// Per-SPU accumulation counts, also published to the telemetry arrays.
 	var locA, remA, lonA int64
 	lastRow := int64(-1)
 	lastRepRow := int64(-1)
@@ -108,7 +89,7 @@ func (m *Machine) step3SPUBody(w, k int) {
 
 	accumulate := func(r int32, contribution float32) {
 		contribution = m.corrupt(k, contribution)
-		c.ev.ALUOps += 2 // ⊗ then ⊕
+		ev.ALUOps += 2 // ⊗ then ⊕
 		owner := m.plan.OwnerOf[r]
 		switch {
 		case m.hypo:
@@ -125,12 +106,11 @@ func (m *Machine) step3SPUBody(w, k int) {
 			if m.sem.IsZero(old) {
 				// Fig. 11: the clean indicator pair takes the dispatcher
 				// round trip inside the bank. enc = ^r marks it clean.
-				b := m.dstBlockOf[k]
-				e.bKey[b] = append(e.bKey[b], uint64(uint32(k))<<32|uint64(uint32(^r))) //gearbox:alloc-ok recycled emit bucket; grows to its high-water mark
-				e.bVal[b] = append(e.bVal[b], 0)                                        //gearbox:alloc-ok recycled emit bucket; grows to its high-water mark
+				e.key = append(e.key, uint64(uint32(k))<<32|uint64(uint32(^r))) //gearbox:alloc-ok recycled emit bucket; grows to its high-water mark
+				e.val = append(e.val, 0)                                        //gearbox:alloc-ok recycled emit bucket; grows to its high-water mark
 				e.sentPairs++
-				c.recv[k]++
-				c.cleanHits++
+				recv[k]++
+				st.CleanHits++
 			}
 			m.output[r] = m.sem.Add(old, contribution)
 			locA++
@@ -162,20 +142,19 @@ func (m *Machine) step3SPUBody(w, k int) {
 		default:
 			// Remote accumulation: dispatch toward the owner's bank.
 			instr += m.instrCosts.macRemote
-			b := m.dstBlockOf[owner]
-			e.bKey[b] = append(e.bKey[b], uint64(uint32(owner))<<32|uint64(uint32(r))) //gearbox:alloc-ok recycled emit bucket; grows to its high-water mark
-			e.bVal[b] = append(e.bVal[b], contribution)                                //gearbox:alloc-ok recycled emit bucket; grows to its high-water mark
+			e.key = append(e.key, uint64(uint32(owner))<<32|uint64(uint32(r))) //gearbox:alloc-ok recycled emit bucket; grows to its high-water mark
+			e.val = append(e.val, contribution)                                //gearbox:alloc-ok recycled emit bucket; grows to its high-water mark
 			e.sentPairs++
-			c.recv[owner]++
+			recv[owner]++
 			remA++
 		}
 	}
 
 	for _, fe := range f.Local[k] {
 		rows, vals := m.plan.Matrix.Col(fe.Index)
-		c.activatedColumns++
+		st.ActivatedColumns++
 		n := rows.Len()
-		c.processedNNZ += int64(n)
+		st.ProcessedNNZ += int64(n)
 		// One width branch per column, not per entry: the two loops are
 		// the 16- and 32-bit specializations of the same stream.
 		if wide := rows.Wide(); wide != nil {
@@ -194,7 +173,7 @@ func (m *Machine) step3SPUBody(w, k int) {
 	// walk's.
 	for _, it := range m.longWork[k] {
 		es := m.plan.LongEntries[it.lo:it.hi]
-		c.processedNNZ += int64(len(es))
+		st.ProcessedNNZ += int64(len(es))
 		for _, fr := range es {
 			accumulate(fr.Row, m.sem.Mul(fr.Val, it.val))
 		}
@@ -202,12 +181,12 @@ func (m *Machine) step3SPUBody(w, k int) {
 	}
 
 	m.busy[k] = float64(instr)*m.cyc + float64(randActs)*m.stallNs(m.instrCosts.macLocal)
-	c.ev.SPUInstrs += instr
-	c.ev.RandRowActs += randActs
-	c.ev.SeqRowActs += seqActs
-	c.localAccums += locA
-	c.remoteAccums += remA
-	c.longAccums += lonA
+	ev.SPUInstrs += instr
+	ev.RandRowActs += randActs
+	ev.SeqRowActs += seqActs
+	st.LocalAccums += locA
+	st.RemoteAccums += remA
+	st.LongAccums += lonA
 	if m.tel != nil {
 		m.telLocal[k] = locA
 		m.telRemote[k] = remA
@@ -224,7 +203,7 @@ type longItem struct {
 }
 
 // buildLongWork turns the frontier's long part, in its given order, into
-// the per-SPU worklists step3SPUBody walks. Only the pieces of activated
+// the per-SPU worklists step3SPU walks. Only the pieces of activated
 // columns are visited, so the cost is O(activated pieces), not
 // O(|f.Long| x NumSPUs). Duplicate and unsorted activations keep their
 // order, so each SPU folds exactly the sequence the per-column walk did. An
@@ -248,11 +227,10 @@ func (m *Machine) buildLongWork(f *Frontier) {
 // sends the contribution toward the logic layer, or dispatches it as a
 // remote accumulation.
 //
-// The per-SPU loops run on the worker pool; each SPU buffers its dispatcher
-// pairs and logic-layer contributions in m.emit[k]. After the barrier the
-// logic-layer contributions fold sharded by accumulator slot (and, for
-// HypoGearboxV2, by owner shard); the dispatcher pairs stay in their
-// buckets until step 5 folds them.
+// Each SPU buffers its dispatcher pairs and logic-layer contributions in
+// m.emit[k]. Once every SPU has computed, the logic-layer contributions
+// fold into their destinations, sources in ascending SPU order; the
+// dispatcher pairs stay in their buckets until step 5 folds them.
 //
 //gearbox:steadystate
 func (m *Machine) step3LocalAccumulations(f *Frontier, st *IterStats) {
@@ -262,52 +240,28 @@ func (m *Machine) step3LocalAccumulations(f *Frontier, st *IterStats) {
 	s.StallRounds = 1
 
 	scr := &m.scr
-	for i := range scr.s3PW {
-		c := &scr.s3PW[i]
-		recv := c.recv
-		clear(recv)
-		*c = step3Counters{recv: recv}
-	}
-	for i := range scr.mergePW {
-		c := &scr.mergePW[i]
-		c.cleanHits = 0
-		c.logicDirty = c.logicDirty[:0]
-	}
-
-	m.buildLongWork(f)
-	m.pool.ForEach("step3-compute", m.plan.NumSPUs, m.fnStep3)
-
+	clear(scr.recv)
 	var ev Events
-	recv := scr.recv
-	clear(recv)
-	for i := range scr.s3PW {
-		c := &scr.s3PW[i]
-		ev.Add(c.ev)
-		st.LocalAccums += c.localAccums
-		st.RemoteAccums += c.remoteAccums
-		st.LongAccums += c.longAccums
-		st.CleanHits += c.cleanHits
-		st.ActivatedColumns += c.activatedColumns
-		st.ProcessedNNZ += c.processedNNZ
-		for d, n := range c.recv {
-			recv[d] += n
-		}
+	m.buildLongWork(f)
+	for k := 0; k < m.plan.NumSPUs; k++ {
+		m.step3SPU(f, k, st, &ev)
 	}
 	recvPerBank := scr.recvPerBank
 	clear(recvPerBank)
-	for d, n := range recv {
+	for d, n := range scr.recv {
 		recvPerBank[m.bankOf[d]] += n
 	}
 
-	// Serial tail: network sends and logic-layer traffic fold in ascending
-	// SPU order, keeping link occupancy order worker-independent. The SPUs
-	// that sent dispatcher pairs are recorded, ascending, for step 5.
+	// Network sends and logic-layer traffic in ascending SPU order, which
+	// fixes link occupancy order. The SPUs that sent dispatcher pairs are
+	// recorded, ascending, for step 5. Logic-layer contributions (V2 long
+	// sends; every HypoGearboxV2 accumulation) fold into their
+	// destinations: long ones into the accumulator, short ones into their
+	// owners' shards. logicDirty is sorted and deduped in step 6 before
+	// anything observable reads it.
 	logicPairsPerVault := scr.logicPairsPerVault
-	for i := range logicPairsPerVault {
-		logicPairsPerVault[i] = 0
-	}
+	clear(logicPairsPerVault)
 	m.emitters = m.emitters[:0]
-	var logicPairs int64
 	for k := 0; k < m.plan.NumSPUs; k++ {
 		e := &m.emit[k]
 		srcID := m.plan.SPUIDOf(k)
@@ -315,33 +269,33 @@ func (m *Machine) step3LocalAccumulations(f *Frontier, st *IterStats) {
 			m.net.SendSPUToSPU(srcID, m.plan.DispatcherOf(k), e.sentPairs)
 			m.emitters = append(m.emitters, int32(k)) //gearbox:alloc-ok recycled emitter list; grows to its high-water mark
 		}
-		if e.logicPairs > 0 {
-			m.net.SendToLogic(srcID, e.logicPairs)
-			ev.LogicOps += 2 * e.logicPairs
-			logicPairsPerVault[m.cfg.Geo.VaultOf(srcID.Bank)] += e.logicPairs
-			logicPairs += e.logicPairs
+		if e.logicPairs == 0 {
+			continue
 		}
-	}
-
-	// Logic-layer contributions (V2 long sends; every HypoGearboxV2
-	// accumulation) fold into their destinations: short accumulations into
-	// owner shards, long ones into the accumulator. Each destination belongs
-	// to exactly one block and every block scans the sources in
-	// ascending SPU order, so per-destination fold order is the serial one.
-	// Worker-private clean hits and newly-dirty slots reduce after the
-	// join; step 6 sorts and dedups the dirty slots before anything
-	// observable reads them.
-	if logicPairs > 0 {
-		if m.hypo {
-			m.pool.ForEachBlock("step3-merge-short", m.plan.NumSPUs, m.dstBlocks, m.fnMergeHypoShort)
-		}
-		m.pool.ForEachBlock("step3-merge-logic", int(m.plan.LastLong)+1, m.slotBlocks, m.fnMergeLogic)
-		for i := range scr.mergePW {
-			c := &scr.mergePW[i]
-			st.CleanHits += c.cleanHits
-			m.logicDirty = append(m.logicDirty, c.logicDirty...) //gearbox:alloc-ok recycled dirty list; grows to its high-water mark
-			// Truncate so the step 6 replica reduction can reuse the buffers.
-			c.logicDirty = c.logicDirty[:0]
+		m.net.SendToLogic(srcID, e.logicPairs)
+		ev.LogicOps += 2 * e.logicPairs
+		logicPairsPerVault[m.cfg.Geo.VaultOf(srcID.Bank)] += e.logicPairs
+		for i, idx := range e.logicIdx {
+			if idx <= m.plan.LastLong {
+				old := m.logicAcc[idx]
+				if m.sem.IsZero(old) {
+					m.logicDirtyAdd(idx)
+					if m.hypo {
+						st.CleanHits++
+					}
+				}
+				m.logicAcc[idx] = m.sem.Add(old, e.logicVal[i])
+				continue
+			}
+			// HypoGearboxV2 routes every short accumulation through the
+			// logic layer too.
+			owner := m.plan.OwnerOf[idx]
+			old := m.output[idx]
+			if m.sem.IsZero(old) {
+				m.dirty[owner] = append(m.dirty[owner], idx) //gearbox:alloc-ok recycled dirty list; grows to its high-water mark
+				st.CleanHits++
+			}
+			m.output[idx] = m.sem.Add(old, e.logicVal[i])
 		}
 	}
 
@@ -434,43 +388,76 @@ func (m *Machine) step4Dispatching(st *IterStats) {
 // step5RemoteAccumulations has every Compute SPU fold the received pairs
 // into its output shard with the ScatterAccumulate kernel, appending
 // clean-indicator indexes to the frontier list (§5 Step 5). The pairs are
-// read straight out of the step 3 emit buckets: each destination block
-// folds its bucket of every emitting SPU (fnStep5), touching only its
-// destinations' shards and dirty lists.
+// read straight out of the step 3 emit buckets, emitters in ascending SPU
+// order and each bucket in emission order, so every destination folds its
+// pairs in (source SPU, emission order).
 //
 //gearbox:steadystate
 func (m *Machine) step5RemoteAccumulations(st *IterStats) {
 	s := &st.Steps[4]
 	s.StallRounds = 1
-	for i := range m.scr.scatPW {
-		m.scr.scatPW[i] = scatCounters{}
+	ev := &s.Events
+	fold := m.scr.fold
+	for d := range fold {
+		fold[d] = foldTally{lastRow: -1}
 	}
-	m.pool.ForEachBlock("step5-fold", m.plan.NumSPUs, m.dstBlocks, m.fnStep5)
-	var ev Events
-	for i := range m.scr.scatPW {
-		ev.Add(m.scr.scatPW[i].ev)
-		st.CleanHits += m.scr.scatPW[i].cleanHits
+	for _, k := range m.emitters {
+		e := &m.emit[k]
+		for i, key := range e.key {
+			d, enc := int32(key>>32), int32(uint32(key))
+			t := &fold[d]
+			if enc < 0 {
+				// Clean indicator: the row arrives bit-complemented.
+				m.dirty[d] = append(m.dirty[d], ^enc) //gearbox:alloc-ok recycled dirty list; grows to its high-water mark
+				t.instr += m.instrCosts.cleanAppend
+				continue
+			}
+			t.instr += m.instrCosts.scatterLocal
+			ev.ALUOps++
+			old := m.output[enc]
+			if m.sem.IsZero(old) {
+				m.dirty[d] = append(m.dirty[d], enc) //gearbox:alloc-ok recycled dirty list; grows to its high-water mark
+				t.instr += m.instrCosts.cleanAppend
+				st.CleanHits++
+			}
+			m.output[enc] = m.sem.Add(old, e.val[i])
+			if row := int64(enc) >> 6; row != t.lastRow {
+				t.randActs++
+				t.lastRow = row
+			}
+		}
+	}
+	stall := m.stallNs(m.instrCosts.scatterLocal + m.instrCosts.cleanAppend)
+	rowWords := int64(m.cfg.Geo.WordsPerRow())
+	for d, n := range m.scr.recv {
+		if n == 0 {
+			m.busy[d] = 0
+			continue
+		}
+		t := fold[d]
+		m.busy[d] = float64(t.instr)*m.cyc + float64(t.randActs)*stall
+		ev.SPUInstrs += t.instr
+		ev.RandRowActs += t.randActs
+		ev.SeqRowActs += 2*n/rowWords + 1
 	}
 	m.busyStats(s)
 	s.TimeNs = m.cfg.Tim.LaunchNs + maxOf(m.busy)*m.refreshFactor()
-	s.Events = ev
 }
 
-// step6EmitBody is SPU k's frontier emission, run on worker w: sort the
-// dirty list, emit the non-clean slots into the next frontier's bucket, and
-// reset them to clean. Buckets come from the recycled frontier in m.curNext,
-// so steady-state emission reuses the caller's returned-and-recycled arrays.
+// step6Emit is SPU k's frontier emission: sort the dirty list, emit the
+// non-clean slots into next's bucket, and reset them to clean. Buckets come
+// from a recycled frontier, so steady-state emission reuses the caller's
+// returned-and-recycled arrays.
 //
 //gearbox:steadystate
-func (m *Machine) step6EmitBody(w, k int) {
+func (m *Machine) step6Emit(k int, next *Frontier, st *IterStats, ev *Events) {
 	dl := m.dirty[k]
 	if len(dl) == 0 {
 		return
 	}
-	c := &m.scr.emitPW[w]
 	slices.Sort(dl)
 	lastRow, randActs := int64(-1), int64(0)
-	entries := m.curNext.Local[k][:0]
+	entries := next.Local[k][:0]
 	for i, idx := range dl {
 		if i > 0 && dl[i-1] == idx {
 			continue // clean-pair + apply rebuild may duplicate
@@ -486,68 +473,87 @@ func (m *Machine) step6EmitBody(w, k int) {
 			lastRow = row
 		}
 	}
-	m.curNext.Local[k] = entries
+	next.Local[k] = entries
 	n := int64(len(entries))
 	m.busy[k] += float64(n*m.instrCosts.frontierEmit)*m.cyc + float64(randActs)*m.stallNs(m.instrCosts.frontierEmit)
-	c.ev.SPUInstrs += n * m.instrCosts.frontierEmit
-	c.ev.RandRowActs += randActs
-	c.frontierOut += n
+	ev.SPUInstrs += n * m.instrCosts.frontierEmit
+	ev.RandRowActs += randActs
+	st.FrontierOut += n
 }
 
-// runStep6Reduce is the V3 replica reduction sharded by logic-accumulator
-// slot: one serial pass files every SPU's dirty replica slots, SPUs in
-// ascending order, into the bucket of the block that owns the slot;
-// then the blocks over [0, LastLong] each fold their own bucket, so each
-// slot's float fold order matches the serial path and no block scans
-// another's slots. With apply disabled it overlaps the frontier-emit region
-// (see step6Applying); the two touch disjoint state (long
-// replicas/accumulator and the reduce buckets vs short output/frontier
-// buckets).
+// step6Apply is SPU k's share of the dense Applying op over its output
+// range: output[v] = output[v] ⊕ (alpha ⊗ y[v]).
 //
 //gearbox:steadystate
-func (m *Machine) runStep6Reduce() {
-	for b := range m.redBucket {
-		m.redBucket[b] = m.redBucket[b][:0]
+func (m *Machine) step6Apply(k int, apply *ApplySpec, ev *Events) {
+	r := m.plan.Ranges[k]
+	if r.Len() == 0 {
+		m.busy[k] = 0
+		return
 	}
-	for k, dl := range m.dirtyLong {
-		for _, r := range dl {
-			b := m.redBlockOf[r]
-			m.redBucket[b] = append(m.redBucket[b], uint64(k)<<32|uint64(uint32(r))) //gearbox:alloc-ok recycled reduce bucket; grows to its high-water mark
+	// After a dense apply every slot may be non-clean; rebuild the dirty
+	// list by scanning (the scan rides the same stream).
+	m.dirty[k] = m.dirty[k][:0]
+	for v := r.First; v <= r.Last; v++ {
+		m.output[v] = m.sem.Add(m.output[v], m.sem.Mul(apply.Alpha, apply.Y[v]))
+		if !m.sem.IsZero(m.output[v]) {
+			m.dirty[k] = append(m.dirty[k], v) //gearbox:alloc-ok recycled dirty list; grows to its high-water mark
 		}
 	}
-	m.pool.ForEachBlock("step6-reduce", int(m.plan.LastLong)+1, m.slotBlocks, m.fnReduceRep)
+	words := int64(r.Len())
+	m.busy[k] = float64(words*m.instrCosts.applyPerWord) * m.cyc
+	ev.SPUInstrs += words * m.instrCosts.applyPerWord
+	ev.ALUOps += 2 * words
+	ev.SeqRowActs += 2*words/int64(m.cfg.Geo.WordsPerRow()) + 1
 }
 
-// step6ReduceTail is the serial fold after the parallel V3 replica
-// reduction: network sends in ascending SPU then ascending bank order
-// (identical to the serial reduction's send sequence), the per-worker
-// newly-dirty logic slots into m.logicDirty, and the per-worker distinct-
-// slot counts into the per-bank totals that drive the Dispatcher/TSV
-// traffic.
+// step6Reduce is the V3 replica reduction (Fig. 7b). It is hierarchical:
+// each SPU sends its dirty replica slots to the bank's Dispatcher over the
+// line interconnect, the Dispatcher combines same-slot partials, and only
+// the bank-level partials cross the TSVs — without this the replicated
+// scheme would push SPUs x slots pairs at the logic layer and lose its
+// advantage. SPUs fold in ascending order, so each slot's float sum is
+// fixed. The per-bank distinct-slot sets are epoch-stamped flat arrays
+// indexed by slot and walked in index order, not maps: map iteration order
+// is randomized per run, and the marks recycle across iterations with a
+// single epoch bump instead of a clear.
 //
 //gearbox:steadystate
-func (m *Machine) step6ReduceTail(ev *Events, logicPerVault []float64) {
+func (m *Machine) step6Reduce(ev *Events, logicPerVault []float64) {
 	scr := &m.scr
-	pairsPerRow := int64(m.cfg.Geo.WordsPerRow() / 2)
-	for k := 0; k < m.plan.NumSPUs; k++ {
-		n := int64(len(m.dirtyLong[k]))
-		if n == 0 {
+	scr.epoch++
+	if scr.epoch <= 0 { // int32 wrap: reset marks, restart epochs
+		for _, marks := range scr.bankSlotMark {
+			clear(marks)
+		}
+		scr.epoch = 1
+	}
+	clear(scr.bankSlotCount)
+	for k, dl := range m.dirtyLong {
+		if len(dl) == 0 {
 			continue
 		}
+		bf := m.bankOf[k]
+		marks := scr.bankSlotMark[bf]
+		rep := m.replicas[k]
+		for _, r := range dl {
+			old := m.logicAcc[r]
+			if m.sem.IsZero(old) {
+				m.logicDirtyAdd(r)
+			}
+			m.logicAcc[r] = m.sem.Add(old, rep[r])
+			rep[r] = m.clean
+			if marks[r] != scr.epoch {
+				marks[r] = scr.epoch
+				scr.bankSlotCount[bf]++
+			}
+		}
 		// Line traffic SPU -> Dispatcher.
+		n := int64(len(dl))
 		m.net.SendSPUToSPU(m.plan.SPUIDOf(k), m.plan.DispatcherOf(k), n)
 		ev.SPUInstrs += n * 2 // read replica slot + send
 	}
-	for i := range scr.mergePW {
-		c := &scr.mergePW[i]
-		m.logicDirty = append(m.logicDirty, c.logicDirty...) //gearbox:alloc-ok recycled dirty list; grows to its high-water mark
-		c.logicDirty = c.logicDirty[:0]
-	}
-	for _, counts := range scr.redPW {
-		for bf, n := range counts {
-			scr.bankSlotCount[bf] += n
-		}
-	}
+	pairsPerRow := int64(m.cfg.Geo.WordsPerRow() / 2)
 	for bf, n := range scr.bankSlotCount {
 		if n == 0 {
 			continue
@@ -561,112 +567,45 @@ func (m *Machine) step6ReduceTail(ev *Events, logicPerVault []float64) {
 	}
 }
 
-// step6Applying performs the optional Applying op, reduces the replicated
-// long regions in the logic layer (V3), emits the next frontier from the
+// step6Applying reduces the replicated long regions in the logic layer
+// (V3), performs the optional Applying op, emits the next frontier from the
 // newly non-clean slots, and resets the output vector to clean indicators
-// (§5 Step 6). The dense apply and the frontier emission shard across the
-// worker pool (each SPU owns its output range and dirty list); the V3
-// replica reduction shards by logic-accumulator slot (runStep6Reduce), each
-// slot folding SPUs in ascending order so its float sums stay bit-stable,
-// and — when no dense apply is pending — overlaps the frontier emission,
-// whose state (short output shards, dirty lists, frontier buckets) is
-// disjoint from the long region the reduction touches.
+// (§5 Step 6). The reduction retires before the apply, which folds into the
+// same logic accumulator.
 //
 //gearbox:steadystate
-func (m *Machine) step6Applying(opts IterateOptions, st *IterStats) *Frontier {
+func (m *Machine) step6Applying(apply *ApplySpec, st *IterStats) *Frontier {
 	m.net.Reset()
 	s := &st.Steps[5]
 	s.StallRounds = 1
-	var ev Events
-	scr := &m.scr
-	logicPerVault := scr.logicPerVault
-	for i := range logicPerVault {
-		logicPerVault[i] = 0
+	ev := &s.Events
+	logicPerVault := m.scr.logicPerVault
+	clear(logicPerVault)
+
+	if m.replicate && m.plan.LastLong >= 0 {
+		m.step6Reduce(ev, logicPerVault)
 	}
 
-	// V3: reduce per-SPU replicas into the logic layer (Fig. 7b). The
-	// reduction is hierarchical: each SPU sends its dirty replica slots to
-	// the bank's Dispatcher over the line interconnect, the Dispatcher
-	// combines same-slot partials, and only the bank-level partials cross
-	// the TSVs — without this the replicated scheme would push
-	// SPUs x slots pairs at the logic layer and lose its advantage.
-	// The per-bank distinct-slot sets are epoch-stamped flat arrays indexed
-	// by slot and walked in index order, not maps: map iteration order is
-	// randomized per run, and the marks recycle across iterations with a
-	// single epoch bump instead of a clear.
-	reduce := m.replicate && m.plan.LastLong >= 0
-	if reduce {
-		scr.epoch++
-		if scr.epoch <= 0 { // int32 wrap: reset marks, restart epochs
-			for _, marks := range scr.bankSlotMark {
-				for i := range marks {
-					marks[i] = 0
-				}
-			}
-			scr.epoch = 1
-		}
-		for i := range scr.bankSlotCount {
-			scr.bankSlotCount[i] = 0
-		}
-		for _, counts := range scr.redPW {
-			for i := range counts {
-				counts[i] = 0
-			}
-		}
-	}
-	// With no dense apply pending the reduction can overlap the frontier
-	// emission below (disjoint state); with an apply it must retire first,
-	// because the apply folds into the same logic accumulator.
-	overlap := reduce && opts.Apply == nil && m.pool.Workers() > 1
-	if reduce && !overlap {
-		m.runStep6Reduce()
-		m.step6ReduceTail(&ev, logicPerVault)
-	}
-
-	// Optional Applying op over the whole vector, sharded by output range.
-	if opts.Apply != nil {
-		alpha, y := opts.Apply.Alpha, opts.Apply.Y
-		for i := range scr.applyPW {
-			scr.applyPW[i] = Events{}
-		}
-		m.pool.ForEach("step6-apply", m.plan.NumSPUs, m.fnApply)
-		for i := range scr.applyPW {
-			ev.Add(scr.applyPW[i])
+	// Optional Applying op over the whole vector, by output range.
+	if apply != nil {
+		for k := 0; k < m.plan.NumSPUs; k++ {
+			m.step6Apply(k, apply, ev)
 		}
 		for r := int32(0); r <= m.plan.LastLong; r++ {
-			m.logicAcc[r] = m.sem.Add(m.logicAcc[r], m.sem.Mul(alpha, y[r]))
+			m.logicAcc[r] = m.sem.Add(m.logicAcc[r], m.sem.Mul(apply.Alpha, apply.Y[r]))
 			if !m.sem.IsZero(m.logicAcc[r]) {
 				m.logicDirtyAdd(r)
 			}
 			ev.LogicOps += 2
 		}
 	} else {
-		for k := range m.busy {
-			m.busy[k] = 0
-		}
+		clear(m.busy)
 	}
 
-	// Emit the next frontier and reset output slots to clean. Each SPU
-	// sorts its own dirty list and writes its own frontier bucket; in the
-	// overlapped path the V3 replica reduction runs concurrently on its own
-	// stage goroutine.
-	m.curNext = m.getFrontier()
-	next := m.curNext
-	for i := range scr.emitPW {
-		scr.emitPW[i] = emitCounters{}
-	}
-	if overlap {
-		m.reduceWG.Add(1)
-		go m.fnReduceStage() //gearbox:alloc-ok one reduce-stage goroutine spawn per iteration; bounded, not per-entry
-	}
-	m.pool.ForEach("step6-emit", m.plan.NumSPUs, m.fnEmit)
-	if overlap {
-		m.reduceWG.Wait()
-		m.step6ReduceTail(&ev, logicPerVault)
-	}
-	for i := range scr.emitPW {
-		ev.Add(scr.emitPW[i].ev)
-		st.FrontierOut += scr.emitPW[i].frontierOut
+	// Emit the next frontier and reset output slots to clean.
+	next := m.getFrontier()
+	for k := 0; k < m.plan.NumSPUs; k++ {
+		m.step6Emit(k, next, st, ev)
 	}
 	// Long outputs become next-iteration logic-layer frontier entries.
 	if len(m.logicDirty) > 0 {
@@ -697,7 +636,6 @@ func (m *Machine) step6Applying(opts IterateOptions, st *IterStats) *Frontier {
 	ev.NetHopWords += m.net.HopWords()
 	ev.TSVWords += m.net.TSVWords()
 	s.TimeNs = m.cfg.Tim.LaunchNs + t*m.refreshFactor()
-	s.Events = ev
 	return next
 }
 

@@ -2,7 +2,6 @@ package gearbox
 
 import (
 	"reflect"
-	"runtime"
 	"testing"
 
 	"gearbox/internal/partition"
@@ -12,7 +11,7 @@ import (
 // TestNarrowWideIndexEquivalence pins the width-adaptive row-index contract
 // end to end: the same plan with its matrix forced to 32-bit storage must
 // produce bit-identical IterStats and frontiers to the 16-bit path, for
-// every Table 4 version at every swept worker count. partition.Build
+// every Table 4 version. partition.Build
 // re-chooses storage width from the dimensions, so the wide variant is
 // forced on the built plan — content identical, representation different.
 func TestNarrowWideIndexEquivalence(t *testing.T) {
@@ -20,32 +19,28 @@ func TestNarrowWideIndexEquivalence(t *testing.T) {
 	entries := randomFrontier(m.NumRows, 60, 41)
 	for _, vc := range versionConfigs() {
 		t.Run(vc.name, func(t *testing.T) {
-			for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
-				narrow := machineWithWorkers(t, m, vc.cfg, semiring.PlusTimes{}, workers, nil)
-				if bits := narrow.Plan().Matrix.IndexBits(); bits != 16 {
-					t.Fatalf("plan for a %d-row matrix stored %d-bit indexes, want 16", m.NumRows, bits)
-				}
+			narrow := buildMachine(t, m, vc.cfg, semiring.PlusTimes{})
+			if bits := narrow.Plan().Matrix.IndexBits(); bits != 16 {
+				t.Fatalf("plan for a %d-row matrix stored %d-bit indexes, want 16", m.NumRows, bits)
+			}
 
-				plan, err := partition.Build(m, smallGeo(), vc.cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				plan.Matrix.ForceWide()
-				cfg := smallConfig()
-				cfg.Workers = workers
-				wide, err := New(plan, semiring.PlusTimes{}, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
+			plan, err := partition.Build(m, smallGeo(), vc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan.Matrix.ForceWide()
+			wide, err := New(plan, semiring.PlusTimes{}, smallConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
 
-				stN, frN := runChained(t, narrow, entries, 3)
-				stW, frW := runChained(t, wide, entries, 3)
-				if !reflect.DeepEqual(stN, stW) {
-					t.Fatalf("workers=%d: IterStats diverge between 16- and 32-bit indexes:\nnarrow: %+v\nwide:   %+v", workers, stN, stW)
-				}
-				if !reflect.DeepEqual(frN, frW) {
-					t.Fatalf("workers=%d: frontiers diverge between 16- and 32-bit indexes", workers)
-				}
+			stN, frN := runChained(t, narrow, entries, 3)
+			stW, frW := runChained(t, wide, entries, 3)
+			if !reflect.DeepEqual(stN, stW) {
+				t.Fatalf("IterStats diverge between 16- and 32-bit indexes:\nnarrow: %+v\nwide:   %+v", stN, stW)
+			}
+			if !reflect.DeepEqual(frN, frW) {
+				t.Fatal("frontiers diverge between 16- and 32-bit indexes")
 			}
 		})
 	}

@@ -1,9 +1,10 @@
 // Package par is a small deterministic fork-join worker pool for the
-// simulator's per-SPU step loops. Determinism is the design constraint, not
+// preprocessing pipeline (.mtx ingest, CSC build, permutation, partition
+// plan, RMAT generation). Determinism is the design constraint, not
 // throughput tricks: under the rules below a region's observable effects are
 // bit-identical whether it runs on one goroutine or sixteen, which is what
-// lets the gearbox machine validate its parallel path against the serial
-// one by exact comparison.
+// lets every preprocessing stage be checked against its serial run by exact
+// comparison.
 //
 // There is one scheduling primitive: a region splits [0, n) into nb uniform
 // blocks, block b covering BlockRange(n, nb, b), and dispenses block ids
@@ -13,10 +14,10 @@
 // entry points sit on top:
 //
 //   - ForEach runs a body per index, in auto-width chunks (about eight per
-//     worker). It is the per-SPU shape.
+//     worker).
 //   - ForEachBlock runs a body per block of a caller-chosen count. It is the
-//     destination-sharded fold shape: each destination lies in exactly one
-//     block, so a block that walks its sources in a fixed order folds every
+//     destination-sharded shape: each destination lies in exactly one
+//     block, so a block that walks its sources in a fixed order writes every
 //     destination in that order, whichever worker claims it.
 //
 // Which worker runs which block is scheduling-dependent, so effects must
@@ -41,9 +42,8 @@ import (
 // A Pool carries no region-to-region state beyond optional host-side
 // instrumentation (see SetInstrumented) and a cache of pprof label contexts
 // (labels.go), and is safe for concurrent use; regions running concurrently
-// on one pool (the gearbox machine overlaps step 6's replica reduction with
-// its frontier emission) simply fork their own goroutines. Each region forks
-// and joins before returning.
+// on one pool simply fork their own goroutines. Each region forks and joins
+// before returning.
 type Pool struct {
 	workers int
 	ins     *instr // non-nil while host-side instrumentation is enabled
@@ -118,8 +118,6 @@ func (p *Pool) run(region string, n, nb int, idx func(worker, i int), blk func(w
 			ins.regions.Add(1)
 		}
 		ins.chunks.Add(int64(nb))
-		ins.regionEnter()
-		defer ins.regionExit()
 	}
 	if g := min(p.workers, nb); g > 1 {
 		p.spawn(region, n, nb, g, idx, blk)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"runtime"
 	"runtime/pprof"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -201,33 +200,6 @@ func TestWorkerPanicReachesCaller(t *testing.T) {
 		if sum.Load() != 4950 {
 			t.Fatalf("%s: pool after a panic summed %d, want 4950", form, sum.Load())
 		}
-	}
-}
-
-// TestOverlapAccounting: two regions in flight on one pool register overlap
-// time; sequential regions register none.
-func TestOverlapAccounting(t *testing.T) {
-	p := New(2)
-	p.SetInstrumented(true)
-	p.ForEach("seq", 100, func(worker, i int) {})
-	if s, _ := p.Stats(); s.OverlapNs != 0 {
-		t.Fatalf("sequential regions recorded %dns overlap", s.OverlapNs)
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		p.ForEach("bg", 2, func(worker, i int) {
-			time.Sleep(30 * time.Millisecond) //gearbox:nondet-ok test-only overlap window; nothing simulated depends on it
-		})
-	}()
-	time.Sleep(5 * time.Millisecond) //gearbox:nondet-ok test-only: let the background region enter before the foreground one
-	p.ForEach("fg", 2, func(worker, i int) {
-		time.Sleep(10 * time.Millisecond) //gearbox:nondet-ok test-only overlap window; nothing simulated depends on it
-	})
-	wg.Wait()
-	if s, _ := p.Stats(); s.OverlapNs <= 0 {
-		t.Fatalf("concurrent regions recorded no overlap: %+v", s)
 	}
 }
 

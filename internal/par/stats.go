@@ -10,8 +10,8 @@ import (
 // Host-side pool introspection. The simulator's results never depend on
 // wall time — instrumentation only measures how well the host's goroutines
 // are balanced, so parallelization regressions (one worker carrying a
-// skewed block, merge phases dominating) are diagnosable from gearbox-bench
-// instead of a profiler session. Disabled pools pay a single nil check per
+// skewed block, merge phases dominating) are diagnosable without a profiler
+// session. Disabled pools pay a single nil check per
 // region.
 
 // Stats is a snapshot of an instrumented pool's host-side counters.
@@ -19,7 +19,7 @@ type Stats struct {
 	// Workers is the pool width the per-worker slices are indexed by.
 	Workers int
 	// Regions counts ForEach parallel regions; MergeRegions counts
-	// ForEachBlock regions (the machine's destination-sharded merges).
+	// ForEachBlock regions.
 	Regions      int64
 	MergeRegions int64
 	// WorkerBusyNs[w] is the wall time worker w's goroutine spent inside
@@ -28,9 +28,7 @@ type Stats struct {
 	WorkerBusyNs []int64
 	WorkerBlocks []int64
 	// MergeNs is the wall time spent inside ForEachBlock regions, summed
-	// across workers — the host cost of the ordered merges (in the gearbox
-	// machine: the logic-layer merges, step 5's pair fold and step 6's
-	// replica reduction).
+	// across workers.
 	MergeNs int64
 	// Chunks counts the blocks all regions dispensed (ForEach chunks and
 	// ForEachBlock blocks); Chunks/(Regions+MergeRegions) is the average
@@ -41,11 +39,6 @@ type Stats struct {
 	// actually did. Zero steals on a skewed dataset means the blocks are too
 	// coarse.
 	Steals int64
-	// OverlapNs is the wall time during which two or more regions were in
-	// flight on this pool simultaneously — in the gearbox machine, step 6's
-	// replica reduction running alongside its frontier emission. Compare
-	// against total region time for an overlap ratio.
-	OverlapNs int64
 }
 
 // instr holds the live counters; a nil *instr means instrumentation is off.
@@ -55,13 +48,6 @@ type instr struct {
 	mergeNs      atomic.Int64
 	chunks       atomic.Int64
 	steals       atomic.Int64
-	overlapNs    atomic.Int64
-	// active tracks how many regions are currently in flight; the 1->2
-	// transition stamps overlapStart and the 2->1 transition books the
-	// elapsed overlap. The gearbox machine runs at most two concurrent
-	// regions (step 6's reduce + emit), so pairwise tracking is exact.
-	active       atomic.Int32
-	overlapStart atomic.Int64
 	busyNs       []atomic.Int64
 	blocks       []atomic.Int64
 }
@@ -99,7 +85,6 @@ func (p *Pool) Stats() (s Stats, ok bool) {
 		MergeNs:      ins.mergeNs.Load(),
 		Chunks:       ins.chunks.Load(),
 		Steals:       ins.steals.Load(),
-		OverlapNs:    ins.overlapNs.Load(),
 		WorkerBusyNs: make([]int64, p.workers),
 		WorkerBlocks: make([]int64, p.workers),
 	}
@@ -121,30 +106,15 @@ func (p *Pool) ResetStats() {
 	ins.mergeNs.Store(0)
 	ins.chunks.Store(0)
 	ins.steals.Store(0)
-	ins.overlapNs.Store(0)
 	for w := range ins.busyNs {
 		ins.busyNs[w].Store(0)
 		ins.blocks[w].Store(0)
 	}
 }
 
-// regionEnter/regionExit bracket a whole parallel region for overlap
-// accounting: time during which >=2 regions are concurrently in flight is
-// overlap. Every host-clock read goes through obs.Now, the repo's one
-// wall-clock chokepoint.
-func (ins *instr) regionEnter() {
-	if ins.active.Add(1) == 2 {
-		ins.overlapStart.Store(obs.Now().UnixNano())
-	}
-}
-
-func (ins *instr) regionExit() {
-	if ins.active.Add(-1) == 1 {
-		ins.overlapNs.Add(obs.Now().UnixNano() - ins.overlapStart.Load())
-	}
-}
-
-// workerEnter stamps the start of one worker's share of a region.
+// workerEnter stamps the start of one worker's share of a region. Every
+// host-clock read goes through obs.Now, the repo's one wall-clock
+// chokepoint.
 func (ins *instr) workerEnter() time.Time {
 	return obs.Now()
 }

@@ -70,7 +70,7 @@ func TestStatsResetAndDisable(t *testing.T) {
 	if !ok {
 		t.Fatal("ResetStats must keep instrumentation enabled")
 	}
-	if s.Regions != 0 || s.MergeRegions != 0 || s.MergeNs != 0 || s.Chunks != 0 || s.Steals != 0 || s.OverlapNs != 0 {
+	if s.Regions != 0 || s.MergeRegions != 0 || s.MergeNs != 0 || s.Chunks != 0 || s.Steals != 0 {
 		t.Errorf("counters survive ResetStats: %+v", s)
 	}
 	for w := range s.WorkerBusyNs {

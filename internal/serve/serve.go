@@ -218,9 +218,6 @@ type Config struct {
 	// QueueDepth bounds admitted-but-not-started jobs across all tenants
 	// (default 16); Submit returns ErrQueueFull beyond it.
 	QueueDepth int
-	// SimWorkers is Options.Workers for every pooled System (0: GOMAXPROCS).
-	// Results are bit-identical at any value.
-	SimWorkers int
 	// Build constructs the System for a pool key. Nil selects the default
 	// builder over the synthetic evaluation datasets.
 	Build func(Key) (*gearbox.System, error)
@@ -236,7 +233,7 @@ type Config struct {
 
 // DefaultBuilder builds Systems from the synthetic evaluation datasets, the
 // same path the gearbox-sim CLI takes.
-func DefaultBuilder(simWorkers int) func(Key) (*gearbox.System, error) {
+func DefaultBuilder() func(Key) (*gearbox.System, error) {
 	return func(k Key) (*gearbox.System, error) {
 		size, err := cliutil.ParseSize(k.Size)
 		if err != nil {
@@ -250,9 +247,7 @@ func DefaultBuilder(simWorkers int) func(Key) (*gearbox.System, error) {
 		if err != nil {
 			return nil, err
 		}
-		return gearbox.NewSystem(ds.Matrix, gearbox.Options{
-			Version: ver, LongFrac: k.LongFrac, Workers: simWorkers,
-		})
+		return gearbox.NewSystem(ds.Matrix, gearbox.Options{Version: ver, LongFrac: k.LongFrac})
 	}
 }
 
@@ -332,7 +327,7 @@ func New(cfg Config) *Server {
 		cfg.QueueDepth = 16
 	}
 	if cfg.Build == nil {
-		cfg.Build = DefaultBuilder(cfg.SimWorkers)
+		cfg.Build = DefaultBuilder()
 	}
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry()
@@ -533,10 +528,8 @@ func (s *Server) worker() {
 		if err := j.ctx.Err(); err != nil {
 			s.met.canceled.Inc()
 			j.err = fmt.Errorf("%w: %v", ErrCanceled, err)
-			j.events <- Event{Event: "canceled", ID: j.ID, RunID: j.RunID, Tenant: j.req.Tenant, Error: j.err.Error()}
-			close(j.events)
-			close(j.done)
 			s.finish(j, "canceled", 0)
+			j.signal(Event{Event: "canceled", Error: j.err.Error()})
 			continue
 		}
 		s.met.queueWait.Observe(wait.Seconds())
@@ -555,20 +548,27 @@ func (s *Server) worker() {
 		s.met.inflight.Add(-1)
 		s.met.runSeconds.With(j.req.Dataset, j.req.Version, j.req.App).Observe(wall.Seconds())
 
-		status := "ok"
+		status, ev := "ok", Event{Event: "result", Result: res}
 		if err != nil {
-			status = "error"
+			status, ev = "error", Event{Event: "error", Error: err.Error()}
 			s.met.runErrors.Inc()
 			j.err = err
-			j.events <- Event{Event: "error", ID: j.ID, RunID: j.RunID, Tenant: j.req.Tenant, Error: err.Error()}
 		} else {
 			j.res = res
-			j.events <- Event{Event: "result", ID: j.ID, RunID: j.RunID, Tenant: j.req.Tenant, Result: res}
 		}
-		close(j.events)
-		close(j.done)
 		s.finish(j, status, wall)
+		j.signal(ev)
 	}
+}
+
+// signal sends j's terminal event and closes its channels. The worker
+// records the job's outcome (Server.finish) first, so a Wait that returns
+// sees the job counted in Stats.
+func (j *Job) signal(ev Event) {
+	ev.ID, ev.RunID, ev.Tenant = j.ID, j.RunID, j.req.Tenant
+	j.events <- ev
+	close(j.events)
+	close(j.done)
 }
 
 // entry returns the pool slot for a key, creating an empty one on first use.

@@ -11,8 +11,8 @@ import (
 // CSCFromCOO and ApplyPermutation build on, replacing the O(nnz log nnz)
 // comparison sort of the small-input path. Determinism is free:
 // a stable counting sort has exactly one output for a given input, so the
-// result is bit-identical at every worker count — the same contract the
-// simulator's step loops honor (DESIGN.md §7, "Preprocessing pipeline").
+// result is bit-identical at every worker count — the contract every
+// preprocessing stage honors (DESIGN.md §7, "Preprocessing pipeline").
 //
 // Each pass is three parallel phases over deterministic index blocks:
 //
