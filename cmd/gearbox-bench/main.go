@@ -28,7 +28,7 @@ var cpuProfiling bool
 func main() {
 	size := flag.String("size", "small", "dataset size tier: tiny, small, medium")
 	exp := flag.String("exp", "all", "comma-separated experiments (table3,fig5,fig12,fig13,fig14a,fig14b,fig15,table5,fig16a,fig16b,fig17a,fig17b,table6,fig18, plus extensions perf,scaling,utilization,heatmap,ablation-overlap,ablation-buffer,ablation-linkwidth,ablation-refresh,ablation-errors) or 'all'")
-	workers := flag.Int("workers", 0, "goroutines that prewarm the -exp all cells, each running one simulation at a time (0: NumCPU)")
+	workers := flag.Int("workers", 0, "goroutines that prewarm the -exp all cells, each running one simulation at a time (0: GOMAXPROCS)")
 	jsonPath := flag.String("json", "", "write the perf experiment's machine-readable report (BENCH_perf.json) to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")

@@ -59,7 +59,7 @@ var simulationPkgs = map[string]bool{
 // sparse/stream.go) lives inside these packages and is bound by the same
 // sets — its segment windowing and two-pass placement must stay
 // time-independent just like the whole-slice builds (CSCFromCOO,
-// ApplyPermutation, the generators).
+// ApplyPermutation, the generators), which go through the same builder.
 var preprocessingPkgs = map[string]bool{
 	"gearbox/internal/mtx":       true,
 	"gearbox/internal/sparse":    true,

@@ -14,9 +14,9 @@ import (
 )
 
 // Preprocessing benchmarks: every stage of the ingest pipeline (.mtx to
-// CSC, the counting-sort CSC build, partition plan, generator) at one, four,
-// and all workers, on a >1M-nnz input. The outputs are bit-identical across widths — these runs
-// measure only time and allocations.
+// CSC, the COO to CSC build, partition plan, generator) at one, four, and
+// all workers, on a >1M-nnz input. The outputs are bit-identical across
+// widths — these runs measure only time and allocations.
 
 const (
 	preprocDim = 1 << 17
@@ -82,8 +82,9 @@ func BenchmarkLoadMTX(b *testing.B) {
 	})
 }
 
-// BenchmarkCSCFromCOO times the counting-sort build (sort, duplicate merge,
-// compaction) that CSCFromCOO shares with ApplyPermutation.
+// BenchmarkCSCFromCOO times the COO build through sparse.CSCBuilder
+// (column tally, placement, then Finish's per-column sort, duplicate merge
+// and compaction).
 func BenchmarkCSCFromCOO(b *testing.B) {
 	preprocSetup(b)
 	workerRuns(b, func(b *testing.B, workers int) {

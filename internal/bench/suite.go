@@ -3,13 +3,13 @@ package bench
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"gearbox/internal/apps"
 	"gearbox/internal/gearbox"
 	"gearbox/internal/gen"
 	"gearbox/internal/mem"
+	"gearbox/internal/par"
 	"gearbox/internal/partition"
 )
 
@@ -220,12 +220,10 @@ func (s *Suite) RunVersion(app string, d *gen.Dataset, version string) (*apps.Re
 }
 
 // Prewarm executes the version matrix (apps x datasets x Table 4 versions)
-// in parallel so the experiment runners hit the cache. Errors surface on
-// first use; Prewarm only reports the first one.
+// on a pool of workers (<= 0 selects GOMAXPROCS) so the experiment runners
+// hit the cache. Every job runs even after one fails; Prewarm returns the
+// first error in job order.
 func (s *Suite) Prewarm(workers int) error {
-	if workers < 1 {
-		workers = runtime.NumCPU()
-	}
 	type job struct {
 		app, version string
 		d            *gen.Dataset
@@ -238,35 +236,16 @@ func (s *Suite) Prewarm(workers int) error {
 			}
 		}
 	}
-	ch := make(chan job)
-	errCh := make(chan error, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range ch {
-				if _, err := s.RunVersion(j.app, j.d, j.version); err != nil {
-					select {
-					case errCh <- err:
-					default:
-					}
-					return
-				}
-			}
-		}()
+	errs := make([]error, len(jobs))
+	par.New(workers).ForEach("prewarm", len(jobs), func(_, i int) {
+		_, errs[i] = s.RunVersion(jobs[i].app, jobs[i].d, jobs[i].version)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
-	for _, j := range jobs {
-		ch <- j
-	}
-	close(ch)
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		return err
-	default:
-		return nil
-	}
+	return nil
 }
 
 // queryNNZ sizes sparse query/weight vectors by QueryDensity with a floor.

@@ -142,10 +142,12 @@ func TestStep6ReplicaReductionDeterministic(t *testing.T) {
 	m := testMatrix(t, 23)
 	cfg := partition.Config{Scheme: partition.Hybrid, Placement: partition.Shuffled, LongFrac: 0.02, Replicate: true, Seed: 1}
 	// A dense frontier activates the long columns so every SPU dirties
-	// replica slots and step 6 reduces across many banks.
+	// replica slots and step 6 reduces across many banks. Non-integer
+	// values make the float sums depend on the order step 6 folds the
+	// replicas in, so the digest catches a reordered reduction.
 	entries := make([]FrontierEntry, m.NumRows)
 	for i := range entries {
-		entries[i] = FrontierEntry{Index: int32(i), Value: 1}
+		entries[i] = FrontierEntry{Index: int32(i), Value: 1 / float32(i+3)}
 	}
 	run := func() (IterStats, uint64) {
 		mach := buildMachine(t, m, cfg, semiring.PlusTimes{})

@@ -184,106 +184,32 @@ func CSCFromParts(rows, cols int32, offsets []int64, indexes []int32, values []f
 	return &CSC{NumRows: rows, NumCols: cols, Offsets: offsets, ix32: indexes, Values: values}
 }
 
-// CSCFromCOO builds a CSC matrix. The input is coalesced first (duplicate
-// coordinates merged in source order, exact zeros dropped) without being
-// mutated. Large inputs run the parallel counting-sort build; the output is
-// bit-identical at every worker count.
+// CSCFromCOO builds a CSC matrix through CSCBuilder: duplicate coordinates
+// merge in source order, exact zeros drop, and the input is not mutated.
+// The output is bit-identical at every worker count.
 func CSCFromCOO(m *COO) *CSC { return CSCFromCOOWorkers(m, 0) }
 
 // CSCFromCOOWorkers is CSCFromCOO over an explicit worker count (0 selects
-// GOMAXPROCS, 1 forces the serial path).
+// GOMAXPROCS, 1 forces the serial path). An entry outside the matrix bounds
+// panics, like COO.Add, instead of truncating into a narrow index; so does
+// an entry total NewCSCBuilder rejects.
 func CSCFromCOOWorkers(m *COO, workers int) *CSC {
-	nnz := len(m.Entries)
-	c := &CSC{
-		NumRows: m.NumRows,
-		NumCols: m.NumCols,
-		Offsets: make([]int64, m.NumCols+1),
-	}
-	if nnz == 0 {
-		c.allocIndexes(0)
-		c.Values = []float32{}
-		return c
-	}
-	if !useCountingSort(nnz, m.NumRows, m.NumCols) {
-		ent := slices.Clone(m.Entries)
-		slices.SortStableFunc(ent, entryColRow)
-		ent = mergeSortedEntries(ent)
-		c.allocIndexes(len(ent))
-		c.Values = make([]float32, len(ent))
-		if c.ix16 != nil {
-			for i, e := range ent {
-				c.Offsets[e.Col+1]++
-				c.ix16[i] = uint16(e.Row)
-				c.Values[i] = e.Val
-			}
-		} else {
-			for i, e := range ent {
-				c.Offsets[e.Col+1]++
-				c.ix32[i] = e.Row
-				c.Values[i] = e.Val
-			}
+	counts := make([]int64, m.NumCols)
+	for _, e := range m.Entries {
+		if e.Row < 0 || e.Row >= m.NumRows || e.Col < 0 || e.Col >= m.NumCols {
+			panic(fmt.Sprintf("sparse: entry (%d,%d) out of bounds %dx%d", e.Row, e.Col, m.NumRows, m.NumCols))
 		}
-		for col := int32(0); col < m.NumCols; col++ {
-			c.Offsets[col+1] += c.Offsets[col]
-		}
-		return c
+		counts[e.Col]++
 	}
-
-	pool := sortPool(workers, nnz, m.NumRows, m.NumCols)
-	// The input stays untouched: sort a copy, then merge straight into the
-	// compressed arrays.
-	buf := make([]Entry, nnz)
-	pool.ForEachBlock("csc-copy", nnz, pool.Blocks(nnz), func(_, _, lo, hi int) { copy(buf[lo:hi], m.Entries[lo:hi]) })
-	scratch := make([]Entry, nnz)
-	colStart := sortByColRow(buf, scratch, m.NumRows, m.NumCols, pool)
-
-	// Merge duplicates in place per column block (duplicates never span a
-	// column boundary) while counting each column's kept entries.
-	nCols := int(m.NumCols)
-	nb := pool.Blocks(nCols)
-	kept := make([]int32, nb)
-	pool.ForEachBlock("csc-merge", nCols, nb, func(_, b, clo, chi int) {
-		lo, hi := int(colStart[clo]), int(colStart[chi])
-		out := lo
-		for i := lo; i < hi; {
-			e := buf[i]
-			j := i + 1
-			for j < hi && buf[j].Row == e.Row && buf[j].Col == e.Col {
-				e.Val += buf[j].Val
-				j++
-			}
-			if e.Val != 0 {
-				buf[out] = e
-				c.Offsets[e.Col+1]++
-				out++
-			}
-			i = j
-		}
-		kept[b] = int32(out - lo) //gearbox:narrow-ok a block keeps at most nnz entries, capped at MaxInt32 by the builder
-	})
-	for col := 0; col < nCols; col++ {
-		c.Offsets[col+1] += c.Offsets[col]
+	b, err := NewCSCBuilder(m.NumRows, m.NumCols, counts, workers)
+	if err != nil {
+		panic(err)
 	}
-	total := int(c.Offsets[nCols])
-	c.allocIndexes(total)
-	c.Values = make([]float32, total)
-	// Block b's kept entries sit compacted at its span start; their final
-	// position starts at Offsets[clo] (the kept total of all earlier columns).
-	pool.ForEachBlock("csc-fill", nCols, nb, func(_, b, clo, chi int) {
-		src := buf[colStart[clo] : int(colStart[clo])+int(kept[b])]
-		d := int(c.Offsets[clo])
-		if c.ix16 != nil {
-			for i, e := range src {
-				c.ix16[d+i] = uint16(e.Row)
-				c.Values[d+i] = e.Val
-			}
-		} else {
-			for i, e := range src {
-				c.ix32[d+i] = e.Row
-				c.Values[d+i] = e.Val
-			}
-		}
-	})
+	b.PlaceBatch(m.Entries)
+	c, err := b.Finish()
+	if err != nil {
+		panic(err) // unreachable: the tally above sized every column exactly
+	}
 	return c
 }
 

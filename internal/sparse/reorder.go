@@ -3,9 +3,6 @@ package sparse
 import (
 	"fmt"
 	"math/rand"
-	"sort"
-
-	"gearbox/internal/par"
 )
 
 // Permutation is a vertex relabeling: New[old] is the new index of vertex
@@ -122,40 +119,55 @@ func ApplyPermutation(c *CSC, perm *Permutation) *CSC {
 }
 
 // ApplyPermutationWorkers is ApplyPermutation over an explicit worker count
-// (0 selects GOMAXPROCS, 1 forces the serial path). Entry i of the
-// intermediate coordinate list is the relabeling of source entry i — a pure
-// per-index function — and the rebuild is the deterministic counting-sort
-// CSC build, so worker count cannot leak into the result.
+// (0 selects GOMAXPROCS, 1 forces the serial path). Old column c lands whole
+// in new column perm.New[c], so each block of old columns writes only its own
+// column spans, in source order, and CSCBuilder.Finish sorts each span by
+// row: worker count cannot leak into the result.
 func ApplyPermutationWorkers(c *CSC, perm *Permutation, workers int) *CSC {
-	nnz := c.NNZ()
-	coo := NewCOO(c.NumRows, c.NumCols)
-	coo.Entries = make([]Entry, nnz)
-	pool := par.New(workers)
-	idx := c.RowIndexes()
-	pool.ForEachBlock("relabel", nnz, pool.Blocks(nnz), func(_, _, lo, hi int) {
-		// Locate the column containing entry lo, then walk forward.
-		//gearbox:narrow-ok sort.Search result is bounded by NumCols, an int32
-		col := int32(sort.Search(int(c.NumCols), func(k int) bool {
-			return c.Offsets[k+1] > int64(lo)
-		}))
-		if wide := idx.Wide(); wide != nil {
-			for i := lo; i < hi; i++ {
-				for int64(i) >= c.Offsets[col+1] {
-					col++
-				}
-				coo.Entries[i] = Entry{Row: perm.New[wide[i]], Col: perm.New[col], Val: c.Values[i]}
+	counts := make([]int64, c.NumCols)
+	for col := int32(0); col < c.NumCols; col++ {
+		counts[perm.New[col]] = int64(c.ColLen(col))
+	}
+	b, err := NewCSCBuilder(c.NumRows, c.NumCols, counts, workers)
+	if err != nil {
+		panic(err) // unreachable: counts sum to c's own entry total
+	}
+	out, cur, pool, n := b.c, b.cur, b.pool, int(c.NumCols)
+	pool.ForEachBlock("permute", n, pool.Blocks(n), func(_, _, lo, hi int) {
+		for old := lo; old < hi; old++ {
+			nc := perm.New[old]
+			rows, vals := c.Col(int32(old))
+			d := out.Offsets[nc]
+			if w := rows.Wide(); w != nil {
+				relabelRows(out, d, w, perm.New)
+			} else {
+				relabelRows(out, d, rows.Narrow(), perm.New)
 			}
-		} else {
-			narrow := idx.Narrow()
-			for i := lo; i < hi; i++ {
-				for int64(i) >= c.Offsets[col+1] {
-					col++
-				}
-				coo.Entries[i] = Entry{Row: perm.New[narrow[i]], Col: perm.New[col], Val: c.Values[i]}
-			}
+			copy(out.Values[d:], vals)
+			cur[nc] = d + int64(len(vals))
 		}
 	})
-	return CSCFromCOOWorkers(coo, workers)
+	p, err := b.Finish()
+	if err != nil {
+		panic(err) // unreachable: every old column filled its new span
+	}
+	return p
+}
+
+// relabelRows writes src's row indexes, mapped through newOf, into c's
+// index storage from position d.
+func relabelRows[S uint16 | int32](c *CSC, d int64, src []S, newOf []int32) {
+	if c.ix16 != nil {
+		dst := c.ix16[d : d+int64(len(src))]
+		for i, r := range src {
+			dst[i] = uint16(newOf[r])
+		}
+		return
+	}
+	dst := c.ix32[d : d+int64(len(src))]
+	for i, r := range src {
+		dst[i] = newOf[r]
+	}
 }
 
 // PermuteVector relabels a dense vector: out[perm.New[i]] = in[i].

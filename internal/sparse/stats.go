@@ -4,6 +4,8 @@ import (
 	"cmp"
 	"math"
 	"slices"
+
+	"gearbox/internal/par"
 )
 
 // Stats summarizes the shape of a matrix the way Table 3 and Fig. 5 of the
@@ -113,7 +115,7 @@ func RowLengths(c *CSC) []int {
 // every worker count (0 selects GOMAXPROCS, 1 the serial path).
 func RowLengthsWorkers(c *CSC, workers int) []int {
 	nnz := c.NNZ()
-	pool := sortPool(workers, nnz, c.NumRows, 0)
+	pool := sortPool(workers, nnz, c.NumRows)
 	nb := pool.Blocks(nnz)
 	if nb <= 1 {
 		return RowLengths(c)
@@ -144,6 +146,20 @@ func RowLengthsWorkers(c *CSC, workers int) []int {
 		}
 	})
 	return lens
+}
+
+// sortPool sizes the worker pool for a per-block histogram over keys
+// buckets: the requested width, capped so the histograms (blocks x keys
+// int32 cells) stay proportional to the nnz entries they count.
+func sortPool(workers, nnz int, keys int32) *par.Pool {
+	p := par.New(workers)
+	if keys == 0 {
+		return p
+	}
+	if cap := 8 * nnz / int(keys); p.Workers() > cap {
+		return par.New(max(cap, 1))
+	}
+	return p
 }
 
 // PowerLawExponent estimates the exponent alpha of a discrete power-law fit

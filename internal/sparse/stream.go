@@ -8,22 +8,22 @@ import (
 	"gearbox/internal/par"
 )
 
-// CSCBuilder assembles a CSC matrix directly from a pre-counted entry
-// stream, without materializing an intermediate COO copy. The intended
-// protocol is the two-pass streaming build mtx.ReadCSC runs:
+// CSCBuilder is the one CSC construction: mtx.ReadCSC streams into it, and
+// CSCFromCOO and ApplyPermutation build through it. The protocol has four
+// steps:
 //
 //  1. a counting pass over the source tallies per-column entry counts;
 //  2. NewCSCBuilder turns the counts into offsets and allocates the final
 //     width-adaptive arrays — the only O(nnz) allocation of the build;
 //  3. PlaceBatch scatters bounded batches of entries into their column
-//     spans, in source order (callers feed batches serially);
-//  4. Finish sorts each column by row, merges duplicates in source order,
-//     drops exact zeros and compacts — exactly CSCFromCOO's semantics, so
-//     the result is bit-identical to CSCFromCOO over the same entries.
+//     spans, in source order (callers feed batches serially;
+//     ApplyPermutation instead fills whole column spans in parallel);
+//  4. Finish sorts each column by row, merges duplicate coordinates by
+//     summing their values in source order, drops exact zeros (a value
+//     that compares equal to 0, so -0 too; NaN stays) and compacts.
 //
-// Peak memory is the final CSC plus O(cols) cursors plus per-block scratch
-// bounded by the longest column, versus CSCFromCOO's sorted copies (~3
-// entry arrays of 12 bytes each alongside the final CSC).
+// The result depends only on the entries and their source order, never on
+// the worker count.
 type CSCBuilder struct {
 	c    *CSC
 	cur  []int64 // per-column write cursor (absolute entry positions)
@@ -60,9 +60,9 @@ func NewCSCBuilder(rows, cols int32, colCounts []int64, workers int) (*CSCBuilde
 }
 
 // PlaceBatch scatters one batch of entries into their column spans. Batches
-// must arrive in source order (the order CSCFromCOO would have seen), and
-// rows/cols must already be validated against the matrix dimensions; the
-// per-column counts given to NewCSCBuilder bound each column's span.
+// must arrive in source order, and rows/cols must already be validated
+// against the matrix dimensions; the per-column counts given to
+// NewCSCBuilder bound each column's span.
 func (b *CSCBuilder) PlaceBatch(entries []Entry) {
 	cur, vals := b.cur, b.c.Values
 	if b.c.ix16 != nil {
@@ -88,7 +88,7 @@ func (b *CSCBuilder) PlaceBatch(entries []Entry) {
 // matrix. Per-column work shards over the pool: each column sorts its span
 // by (row, source position) — packed uint64 keys, so the sort is a plain
 // slices.Sort and stability is structural — then merges duplicate rows in
-// source order and drops exact zeros, matching CSCFromCOO bit for bit.
+// source order and drops exact zeros.
 func (b *CSCBuilder) Finish() (*CSC, error) {
 	c, cur := b.c, b.cur
 	nCols := int(c.NumCols)
@@ -137,7 +137,7 @@ func (b *CSCBuilder) Finish() (*CSC, error) {
 				v := vbuf[uint32(keys[i])]
 				j := i + 1
 				// Equal rows sort by source position (the low key half), so
-				// duplicate values fold in source order, like CSCFromCOO.
+				// duplicate values fold in source order.
 				for j < n && keys[j]>>32 == row {
 					v += vbuf[uint32(keys[j])]
 					j++
