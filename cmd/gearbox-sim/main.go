@@ -40,7 +40,7 @@ func main() {
 	longFrac := flag.Float64("longfrac", 0, "long row/column fraction (0: scaled default, negative: no long columns)")
 	placementFlag := flag.String("placement", "shuffled", "placement: shuffled, samesubarray, samebank, samevault, distributed")
 	source := flag.Int("source", 0, "source vertex for bfs/sssp")
-	prIters := flag.Int("pr-iters", 10, "PageRank iterations")
+	prIters := flag.Int("pr-iters", 10, "PageRank iterations (0: the default 10)")
 	workers := flag.Int("workers", 0, "worker goroutines for preprocessing: mtx load, RMAT generation, partition (0: GOMAXPROCS, 1: serial; results are identical). The simulation itself runs on one goroutine")
 	tracePath := flag.String("trace", "", "write a chrome://tracing JSON timeline to this file")
 	metricsPath := flag.String("metrics", "", "write a spatial telemetry snapshot (per-SPU/per-link counters) as JSON to this file; .csv extension selects CSV")
@@ -113,77 +113,22 @@ func main() {
 	}
 	sys.Telemetry(gearbox.TeeTelemetry(sinks...))
 
-	var stats gearbox.RunStats
-	var work gearbox.Work
-	var detail string
-	switch strings.ToLower(*app) {
-	case "bfs":
-		res, err := sys.BFS(int32(*source))
-		if err != nil {
-			fatal(err)
-		}
-		stats, work = res.Stats, res.Work
-		detail = fmt.Sprintf("visited %d of %d vertices", res.Visited, ds.Matrix.NumRows)
-	case "pr":
-		res, err := sys.PageRank(0.85, *prIters)
-		if err != nil {
-			fatal(err)
-		}
-		stats, work = res.Stats, res.Work
-		var sum float32
-		for _, r := range res.Ranks {
-			sum += r
-		}
-		detail = fmt.Sprintf("rank mass %.4f over %d vertices", sum, len(res.Ranks))
-	case "sssp":
-		res, err := sys.SSSP(int32(*source))
-		if err != nil {
-			fatal(err)
-		}
-		stats, work = res.Stats, res.Work
-		reach := 0
-		for _, d := range res.Dist {
-			if d < float32(1e30) {
-				reach++
-			}
-		}
-		detail = fmt.Sprintf("reached %d vertices", reach)
-	case "spknn":
-		res, err := sys.SpKNN(4, int(ds.Matrix.NumRows/16)+1, 10, 1)
-		if err != nil {
-			fatal(err)
-		}
-		stats, work = res.Stats, res.Work
-		detail = fmt.Sprintf("%d queries, top-%d each", len(res.Neighbors), 10)
-	case "svm":
-		res, err := sys.SVM(4, int(ds.Matrix.NumRows/16)+1, 0.5, 1)
-		if err != nil {
-			fatal(err)
-		}
-		stats, work = res.Stats, res.Work
-		detail = fmt.Sprintf("%d inference batches", len(res.Classes))
-	case "cc":
-		res, err := sys.ConnectedComponents()
-		if err != nil {
-			fatal(err)
-		}
-		stats, work = res.Stats, res.Work
-		detail = fmt.Sprintf("%d connected components", res.Count)
-	default:
-		fatal(fmt.Errorf("unknown app %q", *app))
+	out, err := sys.Run(gearbox.RunRequest{App: *app, Source: int32(*source), Iters: *prIters})
+	if err != nil {
+		fatal(err)
 	}
 
 	fmt.Printf("dataset      %s (%s, %d rows, %d nnz)\n", ds.Name, *sizeFlag, ds.Matrix.NumRows, ds.Matrix.NNZ())
 	fmt.Printf("version      %s  placement=%s\n", ver, placement)
-	fmt.Printf("result       %s\n", detail)
-	fmt.Printf("iterations   %d\n", work.Iterations)
-	fmt.Printf("sim time     %.3f us\n", stats.TimeNs()/1e3)
+	fmt.Printf("result       %s\n", out.Detail)
+	fmt.Printf("iterations   %d\n", out.Work.Iterations)
+	fmt.Printf("sim time     %.3f us\n", out.Stats.TimeNs()/1e3)
 	for step := 1; step <= 6; step++ {
-		fmt.Printf("  step %d     %.3f us\n", step, stats.StepTimeNs(step)/1e3)
+		fmt.Printf("  step %d     %.3f us\n", step, out.Stats.StepTimeNs(step)/1e3)
 	}
 	fmt.Printf("activated    %d nnz, frontier sum %d, remote frac %.3f\n",
-		work.ProcessedNNZ, work.FrontierSum, work.RemoteFrac)
-	b := gearbox.Energy(stats)
+		out.Work.ProcessedNNZ, out.Work.FrontierSum, out.Work.RemoteFrac)
+	b := gearbox.Energy(out.Stats)
 	fmt.Printf("energy       %.3e J (row activation %.0f%%)\n", b.Total(),
 		100*b.RowActivation/(b.Total()-b.Static))
 

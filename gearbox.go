@@ -401,8 +401,9 @@ type RunOutput struct {
 }
 
 // Run dispatches a generic run request onto the system. It is the engine
-// behind gearbox-serve: every app is reachable through one call with one
-// result shape, on the same pooled machine the typed methods use.
+// behind gearbox-sim and gearbox-serve: every app is reachable through one
+// call with one result shape, on the same pooled machine the typed methods
+// use.
 func (s *System) Run(req RunRequest) (*RunOutput, error) {
 	n := s.matrix.NumRows
 	iters := req.Iters

@@ -41,7 +41,6 @@ func All() []*analysis.Analyzer {
 var simulationPkgs = map[string]bool{
 	"gearbox":                       true,
 	"gearbox/internal/gearbox":      true,
-	"gearbox/internal/sim":          true,
 	"gearbox/internal/apps":         true,
 	"gearbox/internal/multistack":   true,
 	"gearbox/internal/fulcrum":      true,
@@ -59,7 +58,7 @@ var simulationPkgs = map[string]bool{
 // sparse/stream.go) lives inside these packages and is bound by the same
 // sets — its segment windowing and two-pass placement must stay
 // time-independent just like the whole-slice builds (CSCFromCOO,
-// ApplyPermutation, the generators), which go through the same builder.
+// ApplyPermutationWorkers, the generators), which go through the same builder.
 var preprocessingPkgs = map[string]bool{
 	"gearbox/internal/mtx":       true,
 	"gearbox/internal/sparse":    true,

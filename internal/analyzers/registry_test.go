@@ -21,7 +21,7 @@ func TestAppliesPolicy(t *testing.T) {
 	}
 
 	wallclock := byName("wallclock")
-	if !analyzers.Applies(wallclock, "gearbox/internal/sim") {
+	if !analyzers.Applies(wallclock, "gearbox/internal/gearbox") {
 		t.Errorf("wallclock must bind the simulation packages")
 	}
 	// The telemetry layer sits on the machine's hot path: its sinks run from
@@ -70,7 +70,7 @@ func TestAppliesPolicy(t *testing.T) {
 			t.Errorf("lockcheck must bind %s", path)
 		}
 	}
-	for _, path := range []string{"gearbox/internal/sparse", "gearbox/internal/sim"} {
+	for _, path := range []string{"gearbox/internal/sparse", "gearbox/internal/gearbox"} {
 		if analyzers.Applies(lockcheck, path) {
 			t.Errorf("lockcheck must not bind %s: no lock discipline to enforce there", path)
 		}
@@ -88,7 +88,7 @@ func TestAppliesPolicy(t *testing.T) {
 			t.Errorf("narrow32 must bind the preprocessing pipeline; skips %s", path)
 		}
 	}
-	if analyzers.Applies(narrow32, "gearbox/internal/sim") {
+	if analyzers.Applies(narrow32, "gearbox/internal/gearbox") {
 		t.Errorf("narrow32 must not bind the simulation core")
 	}
 

@@ -1,6 +1,7 @@
 // Package wallclock flags wall-clock reads in simulation packages. The
-// simulator's notion of time is the sim.Engine clock: every duration is
-// derived from the machine's timing model and advances deterministically.
+// simulator's notion of time is the machine's simulated clock
+// (Machine.NowNs): every duration is derived from the machine's timing model
+// and advances deterministically.
 // A time.Now/Since/Sleep in a simulation package either leaks host timing
 // into simulated results (breaking run-to-run reproducibility) or stalls
 // the simulation for no model reason; both are contract violations.
@@ -16,7 +17,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "wallclock",
 	Doc: "flags time.Now/Since/Sleep (and timer constructors) in simulation " +
-		"packages, where time must come from the sim.Engine clock",
+		"packages, where time must come from the simulated clock (Machine.NowNs)",
 	Run: run,
 }
 
@@ -51,7 +52,7 @@ func run(pass *analysis.Pass) error {
 			}
 			if ok, hint := ann.Suppressed(analysis.KindNondetOK, id.Pos()); !ok {
 				pass.Reportf(id.Pos(), "time.%s reads the wall clock; simulated time "+
-					"must come from the sim.Engine clock%s", fn.Name(), hint)
+					"must come from the simulated clock (Machine.NowNs)%s", fn.Name(), hint)
 			}
 			return true
 		})

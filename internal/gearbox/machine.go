@@ -20,7 +20,6 @@ import (
 	"gearbox/internal/par"
 	"gearbox/internal/partition"
 	"gearbox/internal/semiring"
-	"gearbox/internal/sim"
 	"gearbox/internal/telemetry"
 )
 
@@ -127,8 +126,13 @@ type Machine struct {
 	sem  semiring.Semiring
 	cfg  Config
 	net  *interconnect.Network
-	eng  *sim.Engine
 	pool *par.Pool // one idle worker; see Pool
+
+	// nowNs is the simulated clock: the §5 steps run back to back, so it is
+	// the running sum of step times. trace, when non-nil, sees each step's
+	// name and completion time (see SetTrace).
+	nowNs float64
+	trace func(name string, atNs float64)
 
 	clean  float32
 	output []float32 // dense output vector, relabeled index space
@@ -270,7 +274,6 @@ func New(plan *partition.Plan, sem semiring.Semiring, cfg Config) (*Machine, err
 		sem:        sem,
 		cfg:        cfg,
 		net:        net,
-		eng:        sim.New(),
 		pool:       par.New(1),
 		clean:      sem.Zero(),
 		output:     make([]float32, n),
@@ -355,7 +358,7 @@ type ApplySpec struct {
 	Y     []float32
 }
 
-// stepNames are the §5 phase names on the engine's trace timeline, in order.
+// stepNames are the §5 phase names on the machine's trace timeline, in order.
 var stepNames = [6]string{
 	"step1-frontier-distribution",
 	"step2-offset-packing",
@@ -389,46 +392,63 @@ func (m *Machine) Iterate(f *Frontier, opts IterateOptions) (*Frontier, IterStat
 		return nil, IterStats{}, fmt.Errorf("gearbox: apply vector length %d, want %d", len(opts.Apply.Y), m.plan.Matrix.NumRows) //gearbox:alloc-ok cold path: caller misuse aborts the iteration
 	}
 
-	// The six §5 steps each compute functionally, then play their duration
-	// as one engine event, so the clock advances through the iteration and
-	// trace subscribers see the same phase timeline the old event-chain
-	// produced.
+	// The six §5 steps each compute functionally, then advance the clock by
+	// their duration, so trace subscribers see the phase timeline.
 	var st IterStats
-	var next *Frontier
 	if m.tel != nil {
-		m.tel.BeginIteration(m.iterCount, m.eng.Now(), int64(f.NNZ()))
+		m.tel.BeginIteration(m.iterCount, m.nowNs, int64(f.NNZ()))
 	}
-	for i := 0; i < 6; i++ {
-		switch i {
-		case 0:
-			m.step1FrontierDistribution(f, &st)
-		case 1:
-			m.step2OffsetPacking(f, &st)
-		case 2:
-			m.step3LocalAccumulations(f, &st)
-		case 3:
-			m.step4Dispatching(&st)
-		case 4:
-			m.step5RemoteAccumulations(&st)
-		case 5:
-			next = m.step6Applying(opts.Apply, &st)
-		}
-		m.eng.After(st.Steps[i].TimeNs, stepNames[i], nil)
-		m.eng.Run()
-		if m.tel != nil {
-			m.stepTelemetry(i + 1)
-		}
-	}
+	m.step1FrontierDistribution(f, &st)
+	m.endStep(1, &st)
+	m.step2OffsetPacking(f, &st)
+	m.endStep(2, &st)
+	m.step3LocalAccumulations(f, &st)
+	m.endStep(3, &st)
+	m.step4Dispatching(&st)
+	m.endStep(4, &st)
+	m.step5RemoteAccumulations(&st)
+	m.endStep(5, &st)
+	next := m.step6Applying(opts.Apply, &st)
+	m.endStep(6, &st)
 	m.iterCount++
 	if m.tel != nil {
-		m.tel.EndIteration(m.eng.Now(), st.FrontierOut)
+		m.tel.EndIteration(m.nowNs, st.FrontierOut)
 	}
 	return next, st, nil
 }
 
-// SetTrace subscribes to the engine's phase timeline: fn receives each step
+// endStep plays step (1-based) on the clock and feeds the telemetry sink.
+//
+//gearbox:steadystate
+func (m *Machine) endStep(step int, st *IterStats) {
+	m.advance(stepNames[step-1], st.Steps[step-1].TimeNs)
+	if m.tel != nil {
+		m.stepTelemetry(step)
+	}
+}
+
+// advance moves the simulated clock dtNs forward and reports the step to the
+// trace hook. A negative or non-finite step panics: it would silently corrupt
+// the timeline.
+//
+//gearbox:steadystate
+func (m *Machine) advance(name string, dtNs float64) {
+	at := m.nowNs + dtNs
+	if at < m.nowNs {
+		panic(fmt.Sprintf("gearbox: step %q ends at %v before now %v", name, at, m.nowNs)) //gearbox:alloc-ok cold path: feeds a panic
+	}
+	if math.IsNaN(at) || math.IsInf(at, 0) {
+		panic(fmt.Sprintf("gearbox: non-finite time %v for step %q", at, name)) //gearbox:alloc-ok cold path: feeds a panic
+	}
+	m.nowNs = at
+	if m.trace != nil {
+		m.trace(name, at)
+	}
+}
+
+// SetTrace subscribes to the machine's phase timeline: fn receives each step
 // name and its completion time on the simulated clock.
-func (m *Machine) SetTrace(fn func(name string, atNs float64)) { m.eng.Trace = fn }
+func (m *Machine) SetTrace(fn func(name string, atNs float64)) { m.trace = fn }
 
 // SetTelemetry attaches a spatial telemetry sink (nil detaches). The sink
 // receives per-SPU, per-link and per-bank counters after every step; see
@@ -460,7 +480,7 @@ func (m *Machine) Pool() *par.Pool { return m.pool }
 // reallocating its scratch. Passing a non-nil semiring also swaps the algebra (the
 // clean value follows it), letting one machine serve apps over different
 // semirings. After the reset the machine is observationally identical to a
-// freshly built one: the engine clock is back at zero, the output vector,
+// freshly built one: the simulated clock is back at zero, the output vector,
 // long-region accumulator and every replica hold the clean value, the
 // error-injection streams are re-seeded to their initial states and the flip
 // counters are zero, the interconnect counters are clear, iteration
@@ -479,7 +499,8 @@ func (m *Machine) ResetForRun(sem semiring.Semiring) {
 	}
 	m.clean = m.sem.Zero()
 
-	m.eng.Reset()
+	m.nowNs = 0
+	m.trace = nil
 	m.net.Reset()
 	m.tel = nil
 
@@ -509,14 +530,14 @@ func (m *Machine) ResetForRun(sem semiring.Semiring) {
 }
 
 // stepTelemetry feeds the sink after step (1-based) has played on the
-// engine clock. It runs between steps, so the per-step state it reads —
+// simulated clock. It runs between steps, so the per-step state it reads —
 // m.busy, the interconnect's per-link counters (reset at the start of each
 // network-touching step), the dispatcher accounting arrays — still holds
 // exactly what the step left behind.
 //
 //gearbox:steadystate
 func (m *Machine) stepTelemetry(step int) {
-	now := m.eng.Now()
+	now := m.nowNs
 	switch step {
 	case 1:
 		m.tel.LinkWords(1, now, m.net.RingSegmentWords(), m.net.TSVVaultWords())
@@ -540,7 +561,7 @@ func (m *Machine) stepTelemetry(step int) {
 
 // NowNs reports the machine's simulated clock (sum of all step times run so
 // far).
-func (m *Machine) NowNs() float64 { return m.eng.Now() }
+func (m *Machine) NowNs() float64 { return m.nowNs }
 
 // Output returns a copy of the current dense output vector. Only meaningful
 // between step 5 and the reset in step 6, so primarily for tests; apps use

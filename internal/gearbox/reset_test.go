@@ -283,3 +283,32 @@ func TestResetForRunDetachesSubscribers(t *testing.T) {
 		t.Fatal("post-reset run did not advance the clock")
 	}
 }
+
+// TestResetForRunRearmsClock: ResetForRun takes the machine clock back to
+// zero, and the next run starts counting from there again.
+func TestResetForRunRearmsClock(t *testing.T) {
+	m := testMatrix(t, 43)
+	mach := buildMachine(t, m, partition.DefaultConfig(), semiring.PlusTimes{})
+	run := func(seed int64) float64 {
+		t.Helper()
+		f, err := mach.DistributeFrontier(randomFrontier(m.NumRows, 20, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := mach.Iterate(f, IterateOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		return mach.NowNs()
+	}
+	first := run(1)
+	if first <= 0 {
+		t.Fatalf("first run left the clock at %v", first)
+	}
+	mach.ResetForRun(nil)
+	if mach.NowNs() != 0 {
+		t.Fatalf("ResetForRun left the clock at %v", mach.NowNs())
+	}
+	if again := run(1); again != first {
+		t.Fatalf("same run after reset ended at %v ns, first ended at %v ns", again, first)
+	}
+}

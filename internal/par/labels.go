@@ -9,8 +9,8 @@ import (
 // pprof goroutine labels for worker goroutines. Without them a CPU profile
 // of a parallel run attributes every sample to anonymous par.(*Pool) spawn
 // funcs; with them samples carry ("par_region", name) and ("par_worker", id)
-// labels, so `go tool pprof -tagfocus par_region=step3-compute` isolates one
-// region of the simulator's hot path. Label contexts are cached per
+// labels, so `go tool pprof -tagfocus par_region=permute` isolates one
+// region (here the partition relabel). Label contexts are cached per
 // (region, worker) on the pool — building a labeled context allocates, so
 // steady-state regions reuse the first call's contexts and allocate nothing
 // here. The inline one-worker path skips labeling: the caller's goroutine

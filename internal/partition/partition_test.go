@@ -62,6 +62,46 @@ func TestBuildColumnOrientedHasNoLongRegion(t *testing.T) {
 	}
 }
 
+// TestBuildMovesLongVerticesFirst: vertex 7 has the one long column and
+// vertex 3 the one long row, so the hybrid relabel puts exactly that union in
+// the long region [0, LastLong].
+func TestBuildMovesLongVerticesFirst(t *testing.T) {
+	coo := sparse.NewCOO(16, 16)
+	for i := int32(0); i < 16; i++ {
+		coo.Add(i, 7, 1)
+		coo.Add(3, i, 1)
+	}
+	coo.Add(5, 5, 1)
+	cfg := DefaultConfig()
+	cfg.LongFrac = 0.05 // top 5% of 16: one column and one row
+	p, err := Build(sparse.CSCFromCOO(coo), smallGeo(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.LastLong != 1 || p.Perm.New[7] > 1 || p.Perm.New[3] > 1 {
+		t.Fatalf("LastLong=%d, long vertices 7 and 3 relabeled to %d and %d; want both in [0,1]", p.LastLong, p.Perm.New[7], p.Perm.New[3])
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Matrix.ColLen(p.Perm.New[7]); got != 16 {
+		t.Fatalf("relabeled long column length = %d, want 16", got)
+	}
+}
+
+// TestBuildRejectsRectangular: relabeling rows and columns by one
+// permutation needs a square matrix, whether wide or tall, empty or not.
+func TestBuildRejectsRectangular(t *testing.T) {
+	for _, shape := range [][2]int32{{4, 6}, {6, 4}} {
+		coo := sparse.NewCOO(shape[0], shape[1])
+		coo.Add(0, 0, 1)
+		coo.Add(shape[0]-1, shape[1]-1, 2)
+		if _, err := Build(sparse.CSCFromCOO(coo), smallGeo(), DefaultConfig()); err == nil {
+			t.Fatalf("%dx%d matrix accepted", shape[0], shape[1])
+		}
+	}
+}
+
 func TestBuildRejectsBadInput(t *testing.T) {
 	rect := sparse.CSCFromCOO(sparse.NewCOO(4, 6))
 	if _, err := Build(rect, smallGeo(), DefaultConfig()); err == nil {

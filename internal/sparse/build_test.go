@@ -149,13 +149,7 @@ func TestApplyPermutationWorkersEquivalent(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	c := CSCFromCOO(bigRandomCOO(19))
 	n := c.NumRows
-	perm := Identity(n)
-	rng.Shuffle(int(n), func(i, j int) {
-		perm.Old[i], perm.Old[j] = perm.Old[j], perm.Old[i]
-	})
-	for nw, old := range perm.Old {
-		perm.New[old] = int32(nw)
-	}
+	perm := shuffledPerm(rng, n)
 	if err := perm.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,11 @@
 // Package sparse implements the sparse-matrix formats used throughout the
-// Gearbox reproduction: coordinate lists (COO), compressed sparse rows (CSR),
-// compressed sparse columns (CSC), and the paired CSC_Pair layout from Fig. 4
-// of the paper. It also provides the column/row statistics (Fig. 5) and the
-// long-column/long-row reordering that Hybrid partitioning relies on (§3.2).
+// Gearbox reproduction: coordinate lists (COO), the interchange form the
+// generators emit, and width-adaptive compressed sparse columns (CSC), the
+// Fig. 4 layout every later stage reads. It also provides the column/row
+// statistics (Fig. 5), the one CSC build (CSCBuilder), and the symmetric
+// relabel (Permutation, ApplyPermutationWorkers) that Hybrid partitioning's
+// long-first order runs through (§3.2); the order itself is chosen in
+// internal/partition.
 //
 // Values are float32 to match the 4-byte memory words of the simulated stack
 // (256-byte rows hold 64 words; row address = index>>6, column = index&63).
@@ -43,16 +46,6 @@ func (m *COO) Add(row, col int32, val float32) {
 // NNZ reports the number of stored entries, duplicates included;
 // CSCFromCOO merges them.
 func (m *COO) NNZ() int { return len(m.Entries) }
-
-// Transpose returns a new COO with rows and columns swapped.
-func (m *COO) Transpose() *COO {
-	t := NewCOO(m.NumCols, m.NumRows)
-	t.Entries = make([]Entry, len(m.Entries))
-	for i, e := range m.Entries {
-		t.Entries[i] = Entry{Row: e.Col, Col: e.Row, Val: e.Val}
-	}
-	return t
-}
 
 // Clone returns a deep copy.
 func (m *COO) Clone() *COO {

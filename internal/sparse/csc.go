@@ -277,44 +277,3 @@ func (c *CSC) Validate() error {
 	}
 	return nil
 }
-
-// CSCPair is the CSC_Pair layout of Fig. 4: the Indexes and Values arrays are
-// interleaved into a single array of words so a single Walker can stream a
-// column as (index,value) word pairs.
-type CSCPair struct {
-	NumRows, NumCols int32
-	Offsets          []int64 // word offsets into Pair; len NumCols+1; Offsets[c+1]-Offsets[c] = 2*colLen
-	Pair             []PairWord
-}
-
-// PairWord is one word of the interleaved array. Even positions hold row
-// indexes, odd positions hold values; the struct keeps both interpretations
-// so tests can stay type-safe while the simulator streams raw words.
-type PairWord struct {
-	Index int32
-	Value float32
-}
-
-// PairFromCSC interleaves a CSC matrix into CSC_Pair form. Offsets are in
-// words: column c spans Pair[Offsets[c]:Offsets[c+1]] with stride 2.
-func PairFromCSC(c *CSC) *CSCPair {
-	p := &CSCPair{
-		NumRows: c.NumRows,
-		NumCols: c.NumCols,
-		Offsets: make([]int64, c.NumCols+1),
-		Pair:    make([]PairWord, 0, 2*c.NNZ()),
-	}
-	for col := int32(0); col < c.NumCols; col++ {
-		p.Offsets[col] = int64(len(p.Pair))
-		for i := c.Offsets[col]; i < c.Offsets[col+1]; i++ {
-			p.Pair = append(p.Pair, PairWord{Index: c.Index(i)}, PairWord{Value: c.Values[i]})
-		}
-	}
-	p.Offsets[c.NumCols] = int64(len(p.Pair))
-	return p
-}
-
-// ColWords returns the (index,value) word span of column col.
-func (p *CSCPair) ColWords(col int32) []PairWord {
-	return p.Pair[p.Offsets[col]:p.Offsets[col+1]]
-}

@@ -59,28 +59,6 @@ func TestCSCMatchesFig4(t *testing.T) {
 	}
 }
 
-func TestCSCPairInterleaving(t *testing.T) {
-	c := CSCFromCOO(fig4Matrix())
-	p := PairFromCSC(c)
-	if got, want := len(p.Pair), 2*c.NNZ(); got != want {
-		t.Fatalf("pair words = %d, want %d", got, want)
-	}
-	// Column 3 spans three (index,value) pairs.
-	w := p.ColWords(3)
-	if len(w) != 6 {
-		t.Fatalf("col 3 pair words = %d, want 6", len(w))
-	}
-	if w[0].Index != 0 || w[1].Value != 26 || w[2].Index != 3 || w[3].Value != 25 {
-		t.Fatalf("col 3 words = %+v", w)
-	}
-	// Offsets double those of CSC.
-	for col := int32(0); col <= c.NumCols; col++ {
-		if p.Offsets[col] != 2*c.Offsets[col] {
-			t.Fatalf("pair offset[%d] = %d, want %d", col, p.Offsets[col], 2*c.Offsets[col])
-		}
-	}
-}
-
 func TestCSCRoundTripCOO(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := canonical(randomCOO(rng, 50, 40, 300))
@@ -88,24 +66,6 @@ func TestCSCRoundTripCOO(t *testing.T) {
 	back := CSCFromCOO(c.ToCOO())
 	if !cscEqual(c, back) {
 		t.Fatal("COO->CSC->COO->CSC changed the matrix")
-	}
-}
-
-func TestCSRMirrorsCSC(t *testing.T) {
-	m := fig4Matrix()
-	r := CSRFromCOO(m)
-	if err := r.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if r.NNZ() != m.NNZ() {
-		t.Fatalf("CSR NNZ = %d, want %d", r.NNZ(), m.NNZ())
-	}
-	cols, vals := r.Row(3)
-	if len(cols) != 2 || cols[0] != 1 || cols[1] != 3 {
-		t.Fatalf("row 3 cols = %v", cols)
-	}
-	if vals[0] != 22 || vals[1] != 25 {
-		t.Fatalf("row 3 vals = %v", vals)
 	}
 }
 
@@ -151,28 +111,6 @@ func TestQuickCSCRoundTrip(t *testing.T) {
 			return false
 		}
 		return cscEqual(c, CSCFromCOO(c.ToCOO()))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickCSRTransposeAgreesWithCSC(t *testing.T) {
-	// Building CSR of M must equal CSC of M^T field-by-field.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := canonical(randomCOO(rng, 1+rng.Int31n(24), 1+rng.Int31n(24), rng.Intn(128)))
-		r := CSRFromCOO(m)
-		ct := CSCFromCOO(m.Transpose())
-		if r.NNZ() != ct.NNZ() {
-			return false
-		}
-		for i := range r.Indexes {
-			if r.Indexes[i] != ct.Index(int64(i)) || r.Values[i] != ct.Values[i] {
-				return false
-			}
-		}
-		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

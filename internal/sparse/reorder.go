@@ -1,9 +1,6 @@
 package sparse
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // Permutation is a vertex relabeling: New[old] is the new index of vertex
 // old, and Old[new] recovers the original. Gearbox applies one symmetric
@@ -12,15 +9,6 @@ import (
 type Permutation struct {
 	New []int32 // old -> new
 	Old []int32 // new -> old
-}
-
-// Identity returns the identity permutation over n vertices.
-func Identity(n int32) *Permutation {
-	p := &Permutation{New: make([]int32, n), Old: make([]int32, n)}
-	for i := int32(0); i < n; i++ {
-		p.New[i], p.Old[i] = i, i
-	}
-	return p
 }
 
 // Validate checks that the permutation is a bijection with consistent
@@ -40,89 +28,12 @@ func (p *Permutation) Validate() error {
 	return nil
 }
 
-// ReorderResult carries a reordered matrix together with the permutation that
-// produced it and the boundary of the long region.
-type ReorderResult struct {
-	Matrix *CSC
-	Perm   *Permutation
-	// LastLong is the largest new index that belongs to the long region;
-	// -1 when there are no long vertices. All vertices with new index in
-	// [0, LastLong] correspond to long columns or long rows of the original
-	// matrix, matching the comparator-and-latch hardware check (§3.2).
-	LastLong int32
-	// NumLongCols and NumLongRows count the sets before the union.
-	NumLongCols, NumLongRows int
-}
-
-// ReorderLongFirst relabels the (square) matrix so that the union of the top
-// longFrac columns and top longFrac rows occupies the lowest indices, and the
-// remaining vertices are placed in a seeded random order. The randomization
-// is the paper's load-balancing shuffle ("we randomize the order of columns
-// assigned to a bank and then reorder the matrix so that the long columns and
-// long rows are the first", §6). longFrac of 0 still applies the shuffle so
-// the 0.00% ablation of Fig. 16a isolates the long-region effect.
-func ReorderLongFirst(c *CSC, longFrac float64, seed int64) (*ReorderResult, error) {
-	if c.NumRows != c.NumCols {
-		return nil, fmt.Errorf("sparse: hybrid reorder requires a square matrix, got %dx%d", c.NumRows, c.NumCols)
-	}
-	n := c.NumRows
-	colLens := ColumnLengths(c)
-	rowLens := RowLengths(c)
-	longCols := TopFraction(colLens, longFrac)
-	longRows := TopFraction(rowLens, longFrac)
-
-	isLong := make([]bool, n)
-	for _, v := range longCols {
-		isLong[v] = true
-	}
-	for _, v := range longRows {
-		isLong[v] = true
-	}
-
-	var longSet, shortSet []int32
-	for v := int32(0); v < n; v++ {
-		if isLong[v] {
-			longSet = append(longSet, v)
-		} else {
-			shortSet = append(shortSet, v)
-		}
-	}
-	rng := rand.New(rand.NewSource(seed))
-	rng.Shuffle(len(shortSet), func(i, j int) { shortSet[i], shortSet[j] = shortSet[j], shortSet[i] })
-
-	perm := &Permutation{New: make([]int32, n), Old: make([]int32, n)}
-	next := int32(0)
-	for _, v := range longSet {
-		perm.New[v], perm.Old[next] = next, v
-		next++
-	}
-	for _, v := range shortSet {
-		perm.New[v], perm.Old[next] = next, v
-		next++
-	}
-
-	return &ReorderResult{
-		Matrix: ApplyPermutation(c, perm),
-		Perm:   perm,
-		//gearbox:narrow-ok longSet holds distinct column ids, so its size is bounded by NumCols, an int32
-		LastLong:    int32(len(longSet)) - 1,
-		NumLongCols: len(longCols),
-		NumLongRows: len(longRows),
-	}, nil
-}
-
-// ApplyPermutation relabels both rows and columns of c by perm and rebuilds
-// the CSC structure. The relabel and rebuild run on the worker pool at full
-// width; output is bit-identical at every worker count.
-func ApplyPermutation(c *CSC, perm *Permutation) *CSC {
-	return ApplyPermutationWorkers(c, perm, 0)
-}
-
-// ApplyPermutationWorkers is ApplyPermutation over an explicit worker count
-// (0 selects GOMAXPROCS, 1 forces the serial path). Old column c lands whole
-// in new column perm.New[c], so each block of old columns writes only its own
-// column spans, in source order, and CSCBuilder.Finish sorts each span by
-// row: worker count cannot leak into the result.
+// ApplyPermutationWorkers relabels both rows and columns of c by perm and
+// rebuilds the CSC structure on workers (0 selects GOMAXPROCS, 1 forces the
+// serial path). Old column c lands whole in new column perm.New[c], so each
+// block of old columns writes only its own column spans, in source order, and
+// CSCBuilder.Finish sorts each span by row: output is bit-identical at every
+// worker count.
 func ApplyPermutationWorkers(c *CSC, perm *Permutation, workers int) *CSC {
 	counts := make([]int64, c.NumCols)
 	for col := int32(0); col < c.NumCols; col++ {

@@ -10,89 +10,43 @@ func squareRandom(rng *rand.Rand, n int32, nnz int) *CSC {
 	return CSCFromCOO(randomCOO(rng, n, n, nnz))
 }
 
+// shuffledPerm returns a seeded uniformly random relabeling of n vertices.
+func shuffledPerm(rng *rand.Rand, n int32) *Permutation {
+	p := &Permutation{New: make([]int32, n), Old: make([]int32, n)}
+	for i := range p.Old {
+		p.Old[i] = int32(i)
+	}
+	rng.Shuffle(int(n), func(i, j int) { p.Old[i], p.Old[j] = p.Old[j], p.Old[i] })
+	for nw, old := range p.Old {
+		p.New[old] = int32(nw)
+	}
+	return p
+}
+
 func TestIdentityPermutation(t *testing.T) {
-	p := Identity(5)
+	p := &Permutation{New: []int32{0, 1, 2, 3, 4}, Old: []int32{0, 1, 2, 3, 4}}
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	c := squareRandom(rand.New(rand.NewSource(3)), 5, 12)
-	if !cscEqual(c, ApplyPermutation(c, p)) {
+	if !cscEqual(c, ApplyPermutationWorkers(c, p, 0)) {
 		t.Fatal("identity permutation changed the matrix")
 	}
 }
 
-func TestReorderLongFirstMovesLongVertices(t *testing.T) {
-	// Build a matrix where vertex 7 has a very long column and vertex 3 a
-	// very long row; both must land in the long region.
-	m := NewCOO(16, 16)
-	for r := int32(0); r < 16; r++ {
-		m.Add(r, 7, 1) // long column 7
-	}
-	for c := int32(0); c < 16; c++ {
-		m.Add(3, c, 1) // long row 3
-	}
-	m.Add(5, 5, 1)
-	csc := CSCFromCOO(m)
-	res, err := ReorderLongFirst(csc, 0.05, 42) // top 5% of 16 = 1 column + 1 row
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NumLongCols != 1 || res.NumLongRows != 1 {
-		t.Fatalf("long cols=%d rows=%d, want 1/1", res.NumLongCols, res.NumLongRows)
-	}
-	if res.LastLong != 1 { // union {7, 3} occupies new indices 0 and 1
-		t.Fatalf("LastLong = %d, want 1", res.LastLong)
-	}
-	if n7, n3 := res.Perm.New[7], res.Perm.New[3]; n7 > res.LastLong || n3 > res.LastLong {
-		t.Fatalf("long vertices relabeled to %d and %d, beyond LastLong=%d", n7, n3, res.LastLong)
-	}
-	if err := res.Perm.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// The long column keeps its length after relabeling.
-	if got := res.Matrix.ColLen(res.Perm.New[7]); got != 16 {
-		t.Fatalf("relabeled long column length = %d, want 16", got)
-	}
-}
-
-func TestReorderLongFirstZeroFractionStillShuffles(t *testing.T) {
-	c := squareRandom(rand.New(rand.NewSource(9)), 64, 256)
-	res, err := ReorderLongFirst(c, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.LastLong != -1 {
-		t.Fatalf("LastLong = %d, want -1 with no long vertices", res.LastLong)
-	}
-	moved := 0
-	for v, nw := range res.Perm.New {
-		if int32(v) != nw {
-			moved++
-		}
-	}
-	if moved == 0 {
-		t.Fatal("shuffle left every vertex in place (seed must randomize)")
-	}
-}
-
-func TestReorderRejectsRectangular(t *testing.T) {
-	c := CSCFromCOO(randomCOO(rand.New(rand.NewSource(2)), 4, 6, 10))
-	if _, err := ReorderLongFirst(c, 0.01, 0); err == nil {
-		t.Fatal("rectangular matrix accepted")
-	}
-}
-
 func TestPermuteUnpermuteVector(t *testing.T) {
-	c := squareRandom(rand.New(rand.NewSource(11)), 32, 64)
-	res, err := ReorderLongFirst(c, 0.05, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	perm := shuffledPerm(rand.New(rand.NewSource(11)), 32)
 	v := make([]float32, 32)
 	for i := range v {
 		v[i] = float32(i) * 1.5
 	}
-	round := UnpermuteVector(PermuteVector(v, res.Perm), res.Perm)
+	p := PermuteVector(v, perm)
+	for old, nw := range perm.New {
+		if p[nw] != v[old] {
+			t.Fatalf("permuted[%d] = %v, want v[%d] = %v", nw, p[nw], old, v[old])
+		}
+	}
+	round := UnpermuteVector(p, perm)
 	for i := range v {
 		if round[i] != v[i] {
 			t.Fatalf("round-trip[%d] = %v, want %v", i, round[i], v[i])
@@ -108,11 +62,9 @@ func TestQuickReorderPreservesSpMV(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Int31n(24)
 		c := squareRandom(rng, n, rng.Intn(int(n)*3))
-		res, err := ReorderLongFirst(c, 0.1, seed)
-		if err != nil {
-			return false
-		}
-		if res.Perm.Validate() != nil {
+		perm := shuffledPerm(rng, n)
+		relabeled := ApplyPermutationWorkers(c, perm, 0)
+		if relabeled.Validate() != nil {
 			return false
 		}
 		x := make([]float32, n)
@@ -122,8 +74,8 @@ func TestQuickReorderPreservesSpMV(t *testing.T) {
 		// y = M x computed on the original labeling.
 		y := denseSpMV(c, x)
 		// y' = M' x' on the relabeled matrix, then unpermute.
-		yp := denseSpMV(res.Matrix, PermuteVector(x, res.Perm))
-		back := UnpermuteVector(yp, res.Perm)
+		yp := denseSpMV(relabeled, PermuteVector(x, perm))
+		back := UnpermuteVector(yp, perm)
 		for i := range y {
 			if y[i] != back[i] {
 				return false
@@ -151,20 +103,18 @@ func denseSpMV(c *CSC, x []float32) []float32 {
 func TestQuickPermutationBijective(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Int31n(64)
-		c := squareRandom(rng, n, rng.Intn(int(n)*2))
-		res, err := ReorderLongFirst(c, rng.Float64()*0.2, seed)
-		if err != nil {
+		n := 2 + rng.Int31n(64)
+		perm := shuffledPerm(rng, n)
+		if perm.Validate() != nil {
 			return false
 		}
-		seen := make([]bool, n)
-		for _, nw := range res.Perm.New {
-			if seen[nw] {
-				return false
-			}
-			seen[nw] = true
+		// Two vertices sharing one image is no bijection.
+		a, b := rng.Int31n(n), rng.Int31n(n-1)
+		if b >= a {
+			b++
 		}
-		return res.Perm.Validate() == nil
+		perm.New[a] = perm.New[b]
+		return perm.Validate() != nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

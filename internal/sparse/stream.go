@@ -9,15 +9,15 @@ import (
 )
 
 // CSCBuilder is the one CSC construction: mtx.ReadCSC streams into it, and
-// CSCFromCOO and ApplyPermutation build through it. The protocol has four
-// steps:
+// CSCFromCOO and ApplyPermutationWorkers build through it. The protocol has
+// four steps:
 //
 //  1. a counting pass over the source tallies per-column entry counts;
 //  2. NewCSCBuilder turns the counts into offsets and allocates the final
 //     width-adaptive arrays — the only O(nnz) allocation of the build;
 //  3. PlaceBatch scatters bounded batches of entries into their column
 //     spans, in source order (callers feed batches serially;
-//     ApplyPermutation instead fills whole column spans in parallel);
+//     ApplyPermutationWorkers instead fills whole column spans in parallel);
 //  4. Finish sorts each column by row, merges duplicate coordinates by
 //     summing their values in source order, drops exact zeros (a value
 //     that compares equal to 0, so -0 too; NaN stays) and compacts.

@@ -83,13 +83,7 @@ func TestApplyPermutationWidthEquivalence(t *testing.T) {
 	wide := CSCFromCOO(m)
 	wide.ForceWide()
 
-	perm := Identity(n)
-	rng.Shuffle(int(n), func(i, j int) {
-		perm.Old[i], perm.Old[j] = perm.Old[j], perm.Old[i]
-	})
-	for nw, old := range perm.Old {
-		perm.New[old] = int32(nw)
-	}
+	perm := shuffledPerm(rng, n)
 	if err := perm.Validate(); err != nil {
 		t.Fatal(err)
 	}
