@@ -47,6 +47,18 @@ var iterateGolden = map[string]uint64{
 	"telemetry/HypoV2":        0x6db713a33daa63a5,
 	"telemetry/V2":            0x1feed3a0d53f087e,
 	"telemetry/V3":            0xf7568d23c20255d1,
+
+	// The bool-or-and and min-first runs of goldenInputs, captured from the
+	// engine that still called every ⊗, ⊕ and clean check through the
+	// semiring.Semiring interface.
+	"V1/boolorand-sources":     0x02fee58c8457a643,
+	"V1/minfirst-labels":       0x94e7b15bf6ac79ef,
+	"HypoV2/boolorand-sources": 0x7a8c6997275aa45c,
+	"HypoV2/minfirst-labels":   0x12080acb34562d97,
+	"V2/boolorand-sources":     0xff04d077b1fa7d06,
+	"V2/minfirst-labels":       0xad13c9c217e7a0c8,
+	"V3/boolorand-sources":     0x01529dfc635b7948,
+	"V3/minfirst-labels":       0xe0338c611eacfb24,
 }
 
 // checkGolden fails t unless got is the iterateGolden digest for key.

@@ -83,6 +83,38 @@ func runChain(t *testing.T, mach *Machine, entries []FrontierEntry, iters int, a
 	return stats, frontiers
 }
 
+// goldenInput is one chained run the iterateGolden digests pin per Table 4
+// version.
+type goldenInput struct {
+	name    string
+	sem     semiring.Semiring
+	entries []FrontierEntry
+	iters   int
+	apply   bool
+}
+
+// goldenInputs lists one run per shipped algebra over an n-row matrix: a
+// PageRank-like random plus-times frontier with one dense apply, an
+// SSSP-like min-plus chain grown from three sources, a BFS-like
+// bool-or-and chain with one dense apply, and a connected-components-like
+// min-first chain whose labels are the source indexes.
+func goldenInputs(n int32) []goldenInput {
+	labels := randomFrontier(n, 12, 5)
+	for i := range labels {
+		labels[i].Value = float32(labels[i].Index)
+	}
+	return []goldenInput{
+		{"plustimes-random", semiring.PlusTimes{}, randomFrontier(n, 50, 13), 3, true},
+		{"minplus-sources", semiring.MinPlus{}, []FrontierEntry{
+			{Index: 0, Value: 0}, {Index: n / 2, Value: 0.5}, {Index: n - 1, Value: 1.25},
+		}, 6, false},
+		{"boolorand-sources", semiring.BoolOrAnd{}, []FrontierEntry{
+			{Index: 1, Value: 1}, {Index: n / 3, Value: 1}, {Index: n - 2, Value: 1},
+		}, 4, true},
+		{"minfirst-labels", semiring.MinFirst{}, labels, 6, false},
+	}
+}
+
 // TestParallelMatchesSerialAllVersions pins, for every Table 4 version, a
 // multi-iteration run's IterStats (including float times), frontiers and
 // clock to the iterateGolden digests, which the worker-pool engine produced
@@ -94,25 +126,43 @@ func runChain(t *testing.T, mach *Machine, entries []FrontierEntry, iters int, a
 // tally and the clean-indicator pairs.
 func TestParallelMatchesSerialAllVersions(t *testing.T) {
 	m := testMatrix(t, 21)
-	inputs := []struct {
-		name    string
-		sem     semiring.Semiring
-		entries []FrontierEntry
-		iters   int
-		apply   bool
-	}{
-		{"plustimes-random", semiring.PlusTimes{}, randomFrontier(m.NumRows, 50, 13), 3, true},
-		{"minplus-sources", semiring.MinPlus{}, []FrontierEntry{
-			{Index: 0, Value: 0}, {Index: m.NumRows / 2, Value: 0.5}, {Index: m.NumRows - 1, Value: 1.25},
-		}, 6, false},
-	}
 	for _, vc := range versionConfigs() {
 		t.Run(vc.name, func(t *testing.T) {
-			for _, in := range inputs {
+			for _, in := range goldenInputs(m.NumRows) {
 				t.Run(in.name, func(t *testing.T) {
 					mach := buildMachine(t, m, vc.cfg, in.sem)
 					st, fr := runChain(t, mach, in.entries, in.iters, in.apply)
 					checkGolden(t, vc.name+"/"+in.name, digestRun(mach, st, fr))
+				})
+			}
+		})
+	}
+}
+
+// wrappedSemiring is an algebra declared outside internal/semiring, so the
+// machine can only reach it through the semiring.Semiring interface.
+type wrappedSemiring struct{ semiring.Semiring }
+
+// TestSemiringInterfaceFallbackMatchesGolden runs every golden input through
+// a wrapped copy of its algebra: the interface fallback must fold exactly
+// like the built-in algebra it wraps, on a fresh machine and on one that
+// ResetForRun switched over from the built-in algebra.
+func TestSemiringInterfaceFallbackMatchesGolden(t *testing.T) {
+	m := testMatrix(t, 21)
+	for _, vc := range versionConfigs() {
+		t.Run(vc.name, func(t *testing.T) {
+			for _, in := range goldenInputs(m.NumRows) {
+				t.Run(in.name, func(t *testing.T) {
+					key := vc.name + "/" + in.name
+					mach := buildMachine(t, m, vc.cfg, wrappedSemiring{in.sem})
+					st, fr := runChain(t, mach, in.entries, in.iters, in.apply)
+					checkGolden(t, key, digestRun(mach, st, fr))
+
+					mach = buildMachine(t, m, vc.cfg, in.sem)
+					runChain(t, mach, in.entries, in.iters, in.apply)
+					mach.ResetForRun(wrappedSemiring{in.sem})
+					st, fr = runChain(t, mach, in.entries, in.iters, in.apply)
+					checkGolden(t, key, digestRun(mach, st, fr))
 				})
 			}
 		})

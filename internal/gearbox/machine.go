@@ -124,6 +124,7 @@ func DefaultConfig() Config {
 type Machine struct {
 	plan *partition.Plan
 	sem  semiring.Semiring
+	op   semOp // sem resolved for the hot loops (algebra.go)
 	cfg  Config
 	net  *interconnect.Network
 	pool *par.Pool // one idle worker; see Pool
@@ -150,17 +151,28 @@ type Machine struct {
 	errCounts []int64
 
 	// Scratch reused across iterations.
-	busy      []float64
-	dirty     [][]int32 // newly non-clean short indexes per SPU
+	busy []float64
+	// dirtyBits has one bit per output slot, set when the slot may have
+	// turned non-clean this iteration; step 6 walks it in ascending order
+	// and clears it as it goes.
+	dirtyBits []uint64
 	dirtyLong [][]int32 // newly non-clean replica slots per SPU (V3)
 	// longWork[k] is SPU k's step 3 worklist: the LongEntries ranges of the
 	// long pieces this iteration's frontier activates on SPU k, in frontier
 	// order (buildLongWork).
 	longWork [][]longItem
-	emit     []spuEmit // step 3 per-SPU out-buckets, folded in SPU order
-	// emitters lists, ascending, the SPUs whose step 3 sent dispatcher
-	// pairs this iteration; step 5 folds only their buckets.
-	emitters []int32
+	// dispKey/dispVal is step 3's one dispatcher stream, in (ascending
+	// source SPU, emission order): local clean-indicator pairs and remote
+	// accumulations. A key packs dst<<32 | uint32(enc), where enc is the
+	// row index for a remote accumulation and ^row (negative) for a
+	// clean-indicator pair; clean pairs carry value 0. Step 5 folds it.
+	dispKey []uint64
+	dispVal []float32
+	// logicIdx/logicVal are the contributions bound for shared logic-layer
+	// state (V2 long sends; in HypoGearboxV2, every accumulation), in the
+	// same order; step 3 folds them once every SPU has computed.
+	logicIdx []int32
+	logicVal []float32
 	scr      scratch // pooled per-iteration accounting buffers
 
 	// Plan facts cached at New so the step loops read fields instead of
@@ -186,29 +198,6 @@ type Machine struct {
 	tel                         telemetry.Sink
 	telLocal, telRemote, telLng []int64
 	iterCount                   int
-}
-
-// spuEmit buffers the shared-state effects SPU k's step 3 loop produces
-// until they are folded in fixed SPU order: the logic-layer contributions
-// at the end of step 3, the dispatcher pairs by step 5 straight out of the
-// buckets. The layouts are SoA: packed 8-byte keys plus a parallel value
-// array stream through the fold in cache-line-sized runs.
-type spuEmit struct {
-	// key/val hold the dispatcher traffic — local clean-indicator pairs
-	// (dst == k) and remote accumulations (dst == owner) — in emission
-	// order. A key packs dst<<32 | uint32(enc), where enc is the row index
-	// for a remote accumulation and ^row (negative) for a clean-indicator
-	// pair; values align one-to-one (clean pairs carry 0).
-	key []uint64
-	val []float32
-	// logicIdx/logicVal are the contributions bound for shared logic-layer
-	// state (V2 long sends; in HypoGearboxV2, every accumulation), in
-	// emission order.
-	logicIdx []int32
-	logicVal []float32
-	// sentPairs and logicPairs drive the SPU's network sends.
-	sentPairs  int64
-	logicPairs int64
 }
 
 // costs bundles the per-entry instruction counts pinned to the fulcrum
@@ -272,16 +261,16 @@ func New(plan *partition.Plan, sem semiring.Semiring, cfg Config) (*Machine, err
 	m := &Machine{
 		plan:       plan,
 		sem:        sem,
+		op:         resolveOp(sem),
 		cfg:        cfg,
 		net:        net,
 		pool:       par.New(1),
 		clean:      sem.Zero(),
 		output:     make([]float32, n),
 		busy:       make([]float64, plan.NumSPUs),
-		dirty:      make([][]int32, plan.NumSPUs),
+		dirtyBits:  make([]uint64, (n+63)/64),
 		dirtyLong:  make([][]int32, plan.NumSPUs),
 		longWork:   make([][]longItem, plan.NumSPUs),
-		emit:       make([]spuEmit, plan.NumSPUs),
 		hypo:       plan.Cfg.Scheme == partition.HypoLogicLayer,
 		replicate:  plan.Cfg.Replicate,
 		cyc:        cfg.Tim.SPUCycleNs(),
@@ -478,10 +467,11 @@ func (m *Machine) Pool() *par.Pool { return m.pool }
 // ResetForRun returns a used machine to its just-built state, so a pooled
 // machine can run another application without re-partitioning or
 // reallocating its scratch. Passing a non-nil semiring also swaps the algebra (the
-// clean value follows it), letting one machine serve apps over different
-// semirings. After the reset the machine is observationally identical to a
-// freshly built one: the simulated clock is back at zero, the output vector,
-// long-region accumulator and every replica hold the clean value, the
+// clean value and the resolved op code follow it), letting one machine serve
+// apps over different semirings. After the reset the machine is
+// observationally identical to a freshly built one: the simulated clock is
+// back at zero, the output vector, long-region accumulator and every replica
+// hold the clean value, the dirty bitmap is clear, the
 // error-injection streams are re-seeded to their initial states and the flip
 // counters are zero, the interconnect counters are clear, iteration
 // numbering restarts, and the trace and telemetry subscribers are detached
@@ -497,6 +487,7 @@ func (m *Machine) ResetForRun(sem semiring.Semiring) {
 	if sem != nil {
 		m.sem = sem
 	}
+	m.op = resolveOp(m.sem)
 	m.clean = m.sem.Zero()
 
 	m.nowNs = 0
@@ -511,6 +502,7 @@ func (m *Machine) ResetForRun(sem semiring.Semiring) {
 		m.logicAcc[i] = m.clean
 	}
 	m.logicDirty = m.logicDirty[:0]
+	clear(m.dirtyBits)
 	for k := range m.replicas {
 		rep := m.replicas[k]
 		for i := range rep {
@@ -574,17 +566,11 @@ func (m *Machine) Output() []float32 { return append([]float32(nil), m.output...
 func (m *Machine) resetScratch() {
 	for k := range m.busy {
 		m.busy[k] = 0
-		m.dirty[k] = m.dirty[k][:0]
 		m.dirtyLong[k] = m.dirtyLong[k][:0]
 		m.longWork[k] = m.longWork[k][:0]
-		e := &m.emit[k]
-		e.key = e.key[:0]
-		e.val = e.val[:0]
-		e.logicIdx = e.logicIdx[:0]
-		e.logicVal = e.logicVal[:0]
-		e.sentPairs = 0
-		e.logicPairs = 0
 	}
+	m.dispKey, m.dispVal = m.dispKey[:0], m.dispVal[:0]
+	m.logicIdx, m.logicVal = m.logicIdx[:0], m.logicVal[:0]
 }
 
 // stallNs is the unhidden part of a random row activation when the SPU has
@@ -667,6 +653,11 @@ func (m *Machine) replica(k int) []float32 {
 
 //gearbox:steadystate
 func (m *Machine) logicDirtyAdd(r int32) { m.logicDirty = append(m.logicDirty, r) } //gearbox:alloc-ok recycled dirty list; grows to its high-water mark
+
+// markDirty records that output slot r may have turned non-clean.
+//
+//gearbox:steadystate
+func (m *Machine) markDirty(r int32) { m.dirtyBits[r>>6] |= 1 << (uint32(r) & 63) }
 
 //gearbox:steadystate
 func maxOf(xs []float64) float64 {

@@ -1,9 +1,11 @@
 package gearbox
 
 import (
+	"math/bits"
 	"slices"
 
 	"gearbox/internal/mem"
+	"gearbox/internal/sparse"
 )
 
 // Step implementations. Each step functionally executes its share of the
@@ -71,119 +73,153 @@ func (m *Machine) step2OffsetPacking(f *Frontier, st *IterStats) {
 }
 
 // step3SPU is SPU k's share of step 3: stream the activated columns and
-// long-column fragments, multiply, and route each contribution. It touches
-// SPU k's own output shard, replica, emit buckets and error stream, counts
-// into st and ev, and tallies each dispatched pair in scr.recv. Dispatcher
-// pairs and logic-layer contributions wait in m.emit[k] for their folds.
+// long-column fragments, multiply, route each contribution, then issue the
+// SPU's network sends. It touches SPU k's own output shard, replica and
+// error stream, counts into st and ev, tallies each dispatched pair in
+// scr.recv, and appends its dispatcher pairs and logic-layer contributions
+// to the machine-wide streams (dispKey/dispVal, logicIdx/logicVal). SPUs
+// run in ascending order, so both streams come out in (ascending source
+// SPU, emission order) and the sends keep that order on the links.
+//
+// The per-entry routing is written once, inline: every activated column
+// and long piece is one stream of (row, matrix value) pairs, read from the
+// 32- or 16-bit index array or from LongEntries.
 //
 //gearbox:steadystate
 func (m *Machine) step3SPU(f *Frontier, k int, st *IterStats, ev *Events) {
-	e := &m.emit[k]
-	recv := m.scr.recv
-	var instr, randActs, seqActs int64
+	cols, items := f.Local[k], m.longWork[k]
+	if len(cols) == 0 && len(items) == 0 {
+		// Idle this iteration, as most SPUs are on a sparse frontier.
+		m.busy[k] = 0
+		if m.tel != nil {
+			m.telLocal[k], m.telRemote[k], m.telLng[k] = 0, 0, 0
+		}
+		return
+	}
+	k32 := int32(k)
+	owners, out, recv := m.plan.OwnerOf, m.output, m.scr.recv
+	lastLong, hypo := m.plan.LastLong, m.hypo
+	replicate := m.replicate && lastLong >= 0 && !hypo
+	inject := m.cfg.BitErrorRate > 0
+	macLocal, macRemote := m.instrCosts.macLocal, m.instrCosts.macRemote
+	rowWords := int64(m.cfg.Geo.WordsPerRow())
+	dk, dv := m.dispKey, m.dispVal
+	li, lv := m.logicIdx, m.logicVal
+	var rep []float32 // SPU k's replica, fetched on first use
+	var instr, randActs, seqActs, nnz, cleanHits, sent, logic int64
 	// Per-SPU accumulation counts, also published to the telemetry arrays.
 	var locA, remA, lonA int64
-	lastRow := int64(-1)
-	lastRepRow := int64(-1)
-	replicate := m.replicate && m.plan.LastLong >= 0 && !m.hypo
+	lastRow, lastRepRow := int64(-1), int64(-1)
 
-	accumulate := func(r int32, contribution float32) {
-		contribution = m.corrupt(k, contribution)
-		ev.ALUOps += 2 // ⊗ then ⊕
-		owner := m.plan.OwnerOf[r]
-		switch {
-		case m.hypo:
-			// Everything accumulates in the logic layer's SRAM; the
-			// read-modify-write itself happens in the ordered merge.
-			instr += m.instrCosts.macRemote
-			e.logicPairs++
-			e.logicIdx = append(e.logicIdx, r)            //gearbox:alloc-ok recycled emit bucket; grows to its high-water mark
-			e.logicVal = append(e.logicVal, contribution) //gearbox:alloc-ok recycled emit bucket; grows to its high-water mark
-			locA++
-		case owner == int32(k):
-			instr += m.instrCosts.macLocal
-			old := m.output[r]
-			if m.sem.IsZero(old) {
-				// Fig. 11: the clean indicator pair takes the dispatcher
-				// round trip inside the bank. enc = ^r marks it clean.
-				e.key = append(e.key, uint64(uint32(k))<<32|uint64(uint32(^r))) //gearbox:alloc-ok recycled emit bucket; grows to its high-water mark
-				e.val = append(e.val, 0)                                        //gearbox:alloc-ok recycled emit bucket; grows to its high-water mark
-				e.sentPairs++
-				recv[k]++
-				st.CleanHits++
-			}
-			m.output[r] = m.sem.Add(old, contribution)
-			locA++
-			if row := int64(r) >> 6; row != lastRow {
-				randActs++
-				lastRow = row
-			}
-		case r <= m.plan.LastLong:
-			lonA++
-			if replicate {
-				rep := m.replica(k)
-				instr += m.instrCosts.macLocal
-				old := rep[r]
-				if m.sem.IsZero(old) {
-					m.dirtyLong[k] = append(m.dirtyLong[k], r) //gearbox:alloc-ok recycled dirty list; grows to its high-water mark
-				}
-				rep[r] = m.sem.Add(old, contribution)
-				if row := int64(r) >> 6; row != lastRepRow {
-					randActs++
-					lastRepRow = row
-				}
-			} else {
-				// V2: send the contribution down to the logic layer.
-				instr += m.instrCosts.macRemote
-				e.logicPairs++
-				e.logicIdx = append(e.logicIdx, r)            //gearbox:alloc-ok recycled emit bucket; grows to its high-water mark
-				e.logicVal = append(e.logicVal, contribution) //gearbox:alloc-ok recycled emit bucket; grows to its high-water mark
-			}
-		default:
-			// Remote accumulation: dispatch toward the owner's bank.
-			instr += m.instrCosts.macRemote
-			e.key = append(e.key, uint64(uint32(owner))<<32|uint64(uint32(r))) //gearbox:alloc-ok recycled emit bucket; grows to its high-water mark
-			e.val = append(e.val, contribution)                                //gearbox:alloc-ok recycled emit bucket; grows to its high-water mark
-			e.sentPairs++
-			recv[owner]++
-			remA++
-		}
-	}
-
-	for _, fe := range f.Local[k] {
-		rows, vals := m.plan.Matrix.Col(fe.Index)
-		st.ActivatedColumns++
-		n := rows.Len()
-		st.ProcessedNNZ += int64(n)
-		// One width branch per column, not per entry: the two loops are
-		// the 16- and 32-bit specializations of the same stream.
-		if wide := rows.Wide(); wide != nil {
-			for i, r := range wide {
-				accumulate(r, m.sem.Mul(vals[i], fe.Value))
-			}
+	for j := 0; j < len(cols)+len(items); j++ {
+		// Long items follow the columns, each one piece's fragment then
+		// spill in frontier order (buildLongWork), so the fold order is the
+		// per-column walk's.
+		var wide []int32
+		var narrow []uint16
+		var vals []float32
+		var les []sparse.Entry
+		var x float32
+		var n int
+		if j < len(cols) {
+			fe := cols[j]
+			rows, v := m.plan.Matrix.Col(fe.Index)
+			wide, narrow, vals, x, n = rows.Wide(), rows.Narrow(), v, fe.Value, rows.Len()
+			st.ActivatedColumns++
 		} else {
-			for i, r := range rows.Narrow() {
-				accumulate(int32(r), m.sem.Mul(vals[i], fe.Value))
+			it := items[j-len(cols)]
+			les, x = m.plan.LongEntries[it.lo:it.hi], it.val
+			n = len(les)
+		}
+		nnz += int64(n)
+		seqActs += int64(2*n)/rowWords + 1
+		for i := 0; i < n; i++ {
+			var r int32
+			var a float32
+			switch {
+			case wide != nil:
+				r, a = wide[i], vals[i]
+			case narrow != nil:
+				r, a = int32(narrow[i]), vals[i]
+			default:
+				r, a = les[i].Row, les[i].Val
+			}
+			c := m.mul(a, x)
+			if inject {
+				c = m.corrupt(k, c)
+			}
+			owner := owners[r]
+			switch {
+			case hypo:
+				// Everything accumulates in the logic layer's SRAM; the
+				// read-modify-write itself happens in the ordered fold.
+				instr += macRemote
+				li = append(li, r) //gearbox:alloc-ok recycled logic stream; grows to its high-water mark
+				lv = append(lv, c) //gearbox:alloc-ok recycled logic stream; grows to its high-water mark
+				logic++
+				locA++
+			case owner == k32:
+				instr += macLocal
+				old := out[r]
+				if m.isZero(old) {
+					// Fig. 11: the clean indicator pair takes the dispatcher
+					// round trip inside the bank. enc = ^r marks it clean.
+					dk = append(dk, uint64(uint32(k32))<<32|uint64(uint32(^r))) //gearbox:alloc-ok recycled dispatcher stream; grows to its high-water mark
+					dv = append(dv, 0)                                          //gearbox:alloc-ok recycled dispatcher stream; grows to its high-water mark
+					sent++
+					recv[k]++
+					cleanHits++
+				}
+				out[r] = m.add(old, c)
+				locA++
+				if row := int64(r) >> 6; row != lastRow {
+					randActs++
+					lastRow = row
+				}
+			case r <= lastLong:
+				lonA++
+				if replicate {
+					if rep == nil {
+						rep = m.replica(k)
+					}
+					instr += macLocal
+					old := rep[r]
+					if m.isZero(old) {
+						m.dirtyLong[k] = append(m.dirtyLong[k], r) //gearbox:alloc-ok recycled dirty list; grows to its high-water mark
+					}
+					rep[r] = m.add(old, c)
+					if row := int64(r) >> 6; row != lastRepRow {
+						randActs++
+						lastRepRow = row
+					}
+				} else {
+					// V2: send the contribution down to the logic layer.
+					instr += macRemote
+					li = append(li, r) //gearbox:alloc-ok recycled logic stream; grows to its high-water mark
+					lv = append(lv, c) //gearbox:alloc-ok recycled logic stream; grows to its high-water mark
+					logic++
+				}
+			default:
+				// Remote accumulation: dispatch toward the owner's bank.
+				instr += macRemote
+				dk = append(dk, uint64(uint32(owner))<<32|uint64(uint32(r))) //gearbox:alloc-ok recycled dispatcher stream; grows to its high-water mark
+				dv = append(dv, c)                                           //gearbox:alloc-ok recycled dispatcher stream; grows to its high-water mark
+				sent++
+				recv[owner]++
+				remA++
 			}
 		}
-		seqActs += int64(2*n)/int64(m.cfg.Geo.WordsPerRow()) + 1
 	}
-	// Long activations: each item is one piece's fragment then spill, in
-	// frontier order (buildLongWork), so the fold order is the per-column
-	// walk's.
-	for _, it := range m.longWork[k] {
-		es := m.plan.LongEntries[it.lo:it.hi]
-		st.ProcessedNNZ += int64(len(es))
-		for _, fr := range es {
-			accumulate(fr.Row, m.sem.Mul(fr.Val, it.val))
-		}
-		seqActs += int64(2*len(es))/int64(m.cfg.Geo.WordsPerRow()) + 1
-	}
+	m.dispKey, m.dispVal = dk, dv
+	m.logicIdx, m.logicVal = li, lv
 
-	m.busy[k] = float64(instr)*m.cyc + float64(randActs)*m.stallNs(m.instrCosts.macLocal)
+	m.busy[k] = float64(instr)*m.cyc + float64(randActs)*m.stallNs(macLocal)
 	ev.SPUInstrs += instr
 	ev.RandRowActs += randActs
 	ev.SeqRowActs += seqActs
+	ev.ALUOps += 2 * nnz // ⊗ then ⊕ per entry
+	st.ProcessedNNZ += nnz
+	st.CleanHits += cleanHits
 	st.LocalAccums += locA
 	st.RemoteAccums += remA
 	st.LongAccums += lonA
@@ -191,6 +227,19 @@ func (m *Machine) step3SPU(f *Frontier, k int, st *IterStats, ev *Events) {
 		m.telLocal[k] = locA
 		m.telRemote[k] = remA
 		m.telLng[k] = lonA
+	}
+
+	if sent == 0 && logic == 0 {
+		return
+	}
+	srcID := m.plan.SPUIDOf(k)
+	if sent > 0 {
+		m.net.SendSPUToSPU(srcID, m.plan.DispatcherOf(k), sent)
+	}
+	if logic > 0 {
+		m.net.SendToLogic(srcID, logic)
+		ev.LogicOps += 2 * logic
+		m.scr.logicPairsPerVault[m.cfg.Geo.VaultOf(srcID.Bank)] += logic
 	}
 }
 
@@ -227,10 +276,9 @@ func (m *Machine) buildLongWork(f *Frontier) {
 // sends the contribution toward the logic layer, or dispatches it as a
 // remote accumulation.
 //
-// Each SPU buffers its dispatcher pairs and logic-layer contributions in
-// m.emit[k]. Once every SPU has computed, the logic-layer contributions
-// fold into their destinations, sources in ascending SPU order; the
-// dispatcher pairs stay in their buckets until step 5 folds them.
+// SPUs compute in ascending order, each issuing its own network sends. Once
+// every SPU has computed, the flat logic-layer stream folds into its
+// destinations; the dispatcher stream waits for step 5.
 //
 //gearbox:steadystate
 func (m *Machine) step3LocalAccumulations(f *Frontier, st *IterStats) {
@@ -241,6 +289,8 @@ func (m *Machine) step3LocalAccumulations(f *Frontier, st *IterStats) {
 
 	scr := &m.scr
 	clear(scr.recv)
+	logicPairsPerVault := scr.logicPairsPerVault
+	clear(logicPairsPerVault)
 	var ev Events
 	m.buildLongWork(f)
 	for k := 0; k < m.plan.NumSPUs; k++ {
@@ -252,51 +302,31 @@ func (m *Machine) step3LocalAccumulations(f *Frontier, st *IterStats) {
 		recvPerBank[m.bankOf[d]] += n
 	}
 
-	// Network sends and logic-layer traffic in ascending SPU order, which
-	// fixes link occupancy order. The SPUs that sent dispatcher pairs are
-	// recorded, ascending, for step 5. Logic-layer contributions (V2 long
-	// sends; every HypoGearboxV2 accumulation) fold into their
-	// destinations: long ones into the accumulator, short ones into their
-	// owners' shards. logicDirty is sorted and deduped in step 6 before
-	// anything observable reads it.
-	logicPairsPerVault := scr.logicPairsPerVault
-	clear(logicPairsPerVault)
-	m.emitters = m.emitters[:0]
-	for k := 0; k < m.plan.NumSPUs; k++ {
-		e := &m.emit[k]
-		srcID := m.plan.SPUIDOf(k)
-		if e.sentPairs > 0 {
-			m.net.SendSPUToSPU(srcID, m.plan.DispatcherOf(k), e.sentPairs)
-			m.emitters = append(m.emitters, int32(k)) //gearbox:alloc-ok recycled emitter list; grows to its high-water mark
-		}
-		if e.logicPairs == 0 {
+	// Logic-layer contributions (V2 long sends; every HypoGearboxV2
+	// accumulation) fold into their destinations in stream order: long ones
+	// into the accumulator, short ones into their owners' shards.
+	// logicDirty is sorted and deduped in step 6 before anything observable
+	// reads it.
+	for i, idx := range m.logicIdx {
+		if idx <= m.plan.LastLong {
+			old := m.logicAcc[idx]
+			if m.isZero(old) {
+				m.logicDirtyAdd(idx)
+				if m.hypo {
+					st.CleanHits++
+				}
+			}
+			m.logicAcc[idx] = m.add(old, m.logicVal[i])
 			continue
 		}
-		m.net.SendToLogic(srcID, e.logicPairs)
-		ev.LogicOps += 2 * e.logicPairs
-		logicPairsPerVault[m.cfg.Geo.VaultOf(srcID.Bank)] += e.logicPairs
-		for i, idx := range e.logicIdx {
-			if idx <= m.plan.LastLong {
-				old := m.logicAcc[idx]
-				if m.sem.IsZero(old) {
-					m.logicDirtyAdd(idx)
-					if m.hypo {
-						st.CleanHits++
-					}
-				}
-				m.logicAcc[idx] = m.sem.Add(old, e.logicVal[i])
-				continue
-			}
-			// HypoGearboxV2 routes every short accumulation through the
-			// logic layer too.
-			owner := m.plan.OwnerOf[idx]
-			old := m.output[idx]
-			if m.sem.IsZero(old) {
-				m.dirty[owner] = append(m.dirty[owner], idx) //gearbox:alloc-ok recycled dirty list; grows to its high-water mark
-				st.CleanHits++
-			}
-			m.output[idx] = m.sem.Add(old, e.logicVal[i])
+		// HypoGearboxV2 routes every short accumulation through the logic
+		// layer too.
+		old := m.output[idx]
+		if m.isZero(old) {
+			m.markDirty(idx)
+			st.CleanHits++
 		}
+		m.output[idx] = m.add(old, m.logicVal[i])
 	}
 
 	// Counted while routing: each long activation processed one fragment set.
@@ -386,11 +416,10 @@ func (m *Machine) step4Dispatching(st *IterStats) {
 }
 
 // step5RemoteAccumulations has every Compute SPU fold the received pairs
-// into its output shard with the ScatterAccumulate kernel, appending
-// clean-indicator indexes to the frontier list (§5 Step 5). The pairs are
-// read straight out of the step 3 emit buckets, emitters in ascending SPU
-// order and each bucket in emission order, so every destination folds its
-// pairs in (source SPU, emission order).
+// into its output shard with the ScatterAccumulate kernel, marking
+// clean-indicator indexes for the frontier (§5 Step 5). One walk of step
+// 3's dispatcher stream, which is in (ascending source SPU, emission
+// order), gives every destination its pairs in that order.
 //
 //gearbox:steadystate
 func (m *Machine) step5RemoteAccumulations(st *IterStats) {
@@ -401,32 +430,34 @@ func (m *Machine) step5RemoteAccumulations(st *IterStats) {
 	for d := range fold {
 		fold[d] = foldTally{lastRow: -1}
 	}
-	for _, k := range m.emitters {
-		e := &m.emit[k]
-		for i, key := range e.key {
-			d, enc := int32(key>>32), int32(uint32(key))
-			t := &fold[d]
-			if enc < 0 {
-				// Clean indicator: the row arrives bit-complemented.
-				m.dirty[d] = append(m.dirty[d], ^enc) //gearbox:alloc-ok recycled dirty list; grows to its high-water mark
-				t.instr += m.instrCosts.cleanAppend
-				continue
-			}
-			t.instr += m.instrCosts.scatterLocal
-			ev.ALUOps++
-			old := m.output[enc]
-			if m.sem.IsZero(old) {
-				m.dirty[d] = append(m.dirty[d], enc) //gearbox:alloc-ok recycled dirty list; grows to its high-water mark
-				t.instr += m.instrCosts.cleanAppend
-				st.CleanHits++
-			}
-			m.output[enc] = m.sem.Add(old, e.val[i])
-			if row := int64(enc) >> 6; row != t.lastRow {
-				t.randActs++
-				t.lastRow = row
-			}
+	out, vals := m.output, m.dispVal
+	scatter, cleanAppend := m.instrCosts.scatterLocal, m.instrCosts.cleanAppend
+	var aluOps, cleanHits int64
+	for i, key := range m.dispKey {
+		d, enc := int32(key>>32), int32(uint32(key))
+		t := &fold[d]
+		if enc < 0 {
+			// Clean indicator: the row arrives bit-complemented.
+			m.markDirty(^enc)
+			t.instr += cleanAppend
+			continue
+		}
+		t.instr += scatter
+		aluOps++
+		old := out[enc]
+		if m.isZero(old) {
+			m.markDirty(enc)
+			t.instr += cleanAppend
+			cleanHits++
+		}
+		out[enc] = m.add(old, vals[i])
+		if row := int64(enc) >> 6; row != t.lastRow {
+			t.randActs++
+			t.lastRow = row
 		}
 	}
+	ev.ALUOps += aluOps
+	st.CleanHits += cleanHits
 	stall := m.stallNs(m.instrCosts.scatterLocal + m.instrCosts.cleanAppend)
 	rowWords := int64(m.cfg.Geo.WordsPerRow())
 	for d, n := range m.scr.recv {
@@ -444,34 +475,56 @@ func (m *Machine) step5RemoteAccumulations(st *IterStats) {
 	s.TimeNs = m.cfg.Tim.LaunchNs + maxOf(m.busy)*m.refreshFactor()
 }
 
-// step6Emit is SPU k's frontier emission: sort the dirty list, emit the
-// non-clean slots into next's bucket, and reset them to clean. Buckets come
+// step6Emit is the frontier emission: one ascending walk of the dirty
+// bitmap emits every non-clean slot into its owner's bucket of next, resets
+// it to clean, and clears the bitmap as it goes. The ranges tile the short
+// region contiguously in ascending SPU order, so the walk switches SPU at
+// Ranges[k].Last and each bucket comes out sorted and deduped. Buckets come
 // from a recycled frontier, so steady-state emission reuses the caller's
 // returned-and-recycled arrays.
 //
 //gearbox:steadystate
-func (m *Machine) step6Emit(k int, next *Frontier, st *IterStats, ev *Events) {
-	dl := m.dirty[k]
-	if len(dl) == 0 {
-		return
+func (m *Machine) step6Emit(next *Frontier, st *IterStats, ev *Events) {
+	ranges, dirty, out := m.plan.Ranges, m.dirtyBits, m.output
+	k := -1
+	var entries []FrontierEntry
+	var lastRow, randActs int64
+	for w := int(m.plan.LastLong+1) >> 6; w < len(dirty); w++ {
+		word := dirty[w]
+		if word == 0 {
+			continue
+		}
+		dirty[w] = 0
+		for ; word != 0; word &= word - 1 {
+			idx := int32(w<<6 | bits.TrailingZeros64(word))
+			v := out[idx]
+			if m.isZero(v) {
+				continue // accumulated back to the clean value
+			}
+			if k < 0 || idx > ranges[k].Last {
+				m.emitDone(k, next, entries, randActs, st, ev)
+				for k++; idx > ranges[k].Last; k++ {
+				}
+				entries, lastRow, randActs = next.Local[k][:0], -1, 0
+			}
+			entries = append(entries, FrontierEntry{Index: idx, Value: v}) //gearbox:alloc-ok recycled frontier bucket; grows to its high-water mark
+			out[idx] = m.clean
+			if row := int64(idx) >> 6; row != lastRow {
+				randActs++
+				lastRow = row
+			}
+		}
 	}
-	slices.Sort(dl)
-	lastRow, randActs := int64(-1), int64(0)
-	entries := next.Local[k][:0]
-	for i, idx := range dl {
-		if i > 0 && dl[i-1] == idx {
-			continue // clean-pair + apply rebuild may duplicate
-		}
-		v := m.output[idx]
-		if m.sem.IsZero(v) {
-			continue // accumulated back to the clean value
-		}
-		entries = append(entries, FrontierEntry{Index: idx, Value: v}) //gearbox:alloc-ok recycled frontier bucket; grows to its high-water mark
-		m.output[idx] = m.clean
-		if row := int64(idx) >> 6; row != lastRow {
-			randActs++
-			lastRow = row
-		}
+	m.emitDone(k, next, entries, randActs, st, ev)
+}
+
+// emitDone hands SPU k its emitted entries and charges the emission; k < 0
+// (nothing emitted yet) is a no-op.
+//
+//gearbox:steadystate
+func (m *Machine) emitDone(k int, next *Frontier, entries []FrontierEntry, randActs int64, st *IterStats, ev *Events) {
+	if k < 0 {
+		return
 	}
 	next.Local[k] = entries
 	n := int64(len(entries))
@@ -482,7 +535,8 @@ func (m *Machine) step6Emit(k int, next *Frontier, st *IterStats, ev *Events) {
 }
 
 // step6Apply is SPU k's share of the dense Applying op over its output
-// range: output[v] = output[v] ⊕ (alpha ⊗ y[v]).
+// range: output[v] = output[v] ⊕ (alpha ⊗ y[v]). Every slot that ends
+// non-clean is marked dirty (the scan rides the same stream).
 //
 //gearbox:steadystate
 func (m *Machine) step6Apply(k int, apply *ApplySpec, ev *Events) {
@@ -491,13 +545,10 @@ func (m *Machine) step6Apply(k int, apply *ApplySpec, ev *Events) {
 		m.busy[k] = 0
 		return
 	}
-	// After a dense apply every slot may be non-clean; rebuild the dirty
-	// list by scanning (the scan rides the same stream).
-	m.dirty[k] = m.dirty[k][:0]
 	for v := r.First; v <= r.Last; v++ {
-		m.output[v] = m.sem.Add(m.output[v], m.sem.Mul(apply.Alpha, apply.Y[v]))
-		if !m.sem.IsZero(m.output[v]) {
-			m.dirty[k] = append(m.dirty[k], v) //gearbox:alloc-ok recycled dirty list; grows to its high-water mark
+		m.output[v] = m.add(m.output[v], m.mul(apply.Alpha, apply.Y[v]))
+		if !m.isZero(m.output[v]) {
+			m.markDirty(v)
 		}
 	}
 	words := int64(r.Len())
@@ -538,10 +589,10 @@ func (m *Machine) step6Reduce(ev *Events, logicPerVault []float64) {
 		rep := m.replicas[k]
 		for _, r := range dl {
 			old := m.logicAcc[r]
-			if m.sem.IsZero(old) {
+			if m.isZero(old) {
 				m.logicDirtyAdd(r)
 			}
-			m.logicAcc[r] = m.sem.Add(old, rep[r])
+			m.logicAcc[r] = m.add(old, rep[r])
 			rep[r] = m.clean
 			if marks[r] != scr.epoch {
 				marks[r] = scr.epoch
@@ -592,8 +643,8 @@ func (m *Machine) step6Applying(apply *ApplySpec, st *IterStats) *Frontier {
 			m.step6Apply(k, apply, ev)
 		}
 		for r := int32(0); r <= m.plan.LastLong; r++ {
-			m.logicAcc[r] = m.sem.Add(m.logicAcc[r], m.sem.Mul(apply.Alpha, apply.Y[r]))
-			if !m.sem.IsZero(m.logicAcc[r]) {
+			m.logicAcc[r] = m.add(m.logicAcc[r], m.mul(apply.Alpha, apply.Y[r]))
+			if !m.isZero(m.logicAcc[r]) {
 				m.logicDirtyAdd(r)
 			}
 			ev.LogicOps += 2
@@ -604,9 +655,7 @@ func (m *Machine) step6Applying(apply *ApplySpec, st *IterStats) *Frontier {
 
 	// Emit the next frontier and reset output slots to clean.
 	next := m.getFrontier()
-	for k := 0; k < m.plan.NumSPUs; k++ {
-		m.step6Emit(k, next, st, ev)
-	}
+	m.step6Emit(next, st, ev)
 	// Long outputs become next-iteration logic-layer frontier entries.
 	if len(m.logicDirty) > 0 {
 		slices.Sort(m.logicDirty)
@@ -615,7 +664,7 @@ func (m *Machine) step6Applying(apply *ApplySpec, st *IterStats) *Frontier {
 				continue
 			}
 			v := m.logicAcc[r]
-			if m.sem.IsZero(v) {
+			if m.isZero(v) {
 				continue
 			}
 			next.Long = append(next.Long, FrontierEntry{Index: r, Value: v}) //gearbox:alloc-ok recycled frontier buffer; grows to its high-water mark

@@ -136,7 +136,10 @@ func TestVecCardinalityBound(t *testing.T) {
 
 // TestConcurrentHammer drives counters, gauges, vec series and histograms
 // from many goroutines; totals must come out exact (the CI -race run is the
-// data-race half of this test).
+// data-race half of this test). The gauge runs in two phases with a barrier
+// between them: first every worker's balanced Add pairs, then every
+// worker's Max calls. Mixed in one phase, a worker's Max(7) could land
+// between another worker's Add(1) and Add(-1) and leave the gauge at 6.
 func TestConcurrentHammer(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("hammer_total", "h")
@@ -146,6 +149,8 @@ func TestConcurrentHammer(t *testing.T) {
 
 	const workers, iters = 8, 5000
 	var wg sync.WaitGroup
+	var addsDone sync.WaitGroup // barrier between the gauge's two phases
+	addsDone.Add(workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -158,6 +163,10 @@ func TestConcurrentHammer(t *testing.T) {
 				g.Add(-1)
 				series.Add(2)
 				h.Observe(float64(i % 2)) // alternates buckets 0 and 1
+			}
+			addsDone.Done()
+			addsDone.Wait()
+			for i := 0; i < iters; i++ {
 				g.Max(float64(w))
 			}
 		}(w)

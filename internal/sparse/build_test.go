@@ -285,3 +285,24 @@ func FuzzCSCFromCOO(f *testing.F) {
 		}
 	})
 }
+
+// TestFinishKeepsArraysWithoutMerges: a build whose entries are already
+// distinct and non-zero, the shape .mtx inputs stream in, must finish in
+// the arrays NewCSCBuilder allocated, without a trimming copy.
+func TestFinishKeepsArraysWithoutMerges(t *testing.T) {
+	for _, rows := range []int32{100, narrowRowLimit + 1} {
+		b, err := NewCSCBuilder(rows, 2, []int64{2, 1}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals, ix16, ix32 := &b.c.Values[0], b.c.ix16, b.c.ix32
+		b.PlaceBatch([]Entry{{Row: 3, Col: 0, Val: 1}, {Row: 1, Col: 0, Val: 2}, {Row: 0, Col: 1, Val: 3}})
+		c, err := b.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &c.Values[0] != vals || (ix16 != nil && &c.ix16[0] != &ix16[0]) || (ix32 != nil && &c.ix32[0] != &ix32[0]) {
+			t.Fatalf("rows=%d: Finish copied the arrays of a build with nothing to merge", rows)
+		}
+	}
+}

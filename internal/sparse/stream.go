@@ -176,14 +176,26 @@ func (b *CSCBuilder) Finish() (*CSC, error) {
 		run += kept
 	}
 	c.Offsets[nCols] = run
-	if c.ix16 != nil {
-		c.ix16 = c.ix16[:run]
-	} else {
-		c.ix32 = c.ix32[:run]
+	if run < int64(len(c.Values)) {
+		// Merging dropped entries: move the kept ones into exact-size
+		// arrays, so the matrix does not hold the dropped tail for its
+		// whole life. A build without duplicates or zeros keeps its arrays.
+		if c.ix16 != nil {
+			c.ix16 = shrink(c.ix16, run)
+		} else {
+			c.ix32 = shrink(c.ix32, run)
+		}
+		c.Values = shrink(c.Values, run)
 	}
-	c.Values = c.Values[:run]
 	b.c, b.cur = nil, nil
 	return c, nil
+}
+
+// shrink copies s[:n] into a new array with len == cap == n.
+func shrink[T any](s []T, n int64) []T {
+	out := make([]T, n)
+	copy(out, s)
+	return out
 }
 
 // colClean reports whether the span is already strictly increasing by row
