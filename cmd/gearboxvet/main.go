@@ -1,9 +1,9 @@
 // Command gearboxvet is the project's static-contract multichecker: it runs
 // the internal/analyzers suite — maprange, globalrand, wallclock, hotalloc,
-// recycleuse, sharedwrite, borrowretain, lockcheck, narrow32 — over the
-// module and fails if any determinism, wall-clock, allocation, recycling,
-// shared-write, borrowing, locking or narrowing contract is violated without
-// a justifying //gearbox: annotation (see DESIGN.md §7, "Statically enforced
+// sharedwrite, borrowretain, lockcheck, narrow32 — over the module and
+// fails if any determinism, wall-clock, allocation, shared-write,
+// borrowing, locking or narrowing contract is violated without a
+// justifying //gearbox: annotation (see DESIGN.md §7, "Statically enforced
 // contracts").
 //
 // Usage:

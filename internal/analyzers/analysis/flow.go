@@ -2,13 +2,12 @@ package analysis
 
 // flow.go is the framework's intra-procedural dataflow layer: the shared
 // machinery the flow-aware analyzers (sharedwrite, borrowretain, lockcheck,
-// narrow32, recycleuse) build on. It deliberately stops short of a full CFG:
-// analysis is position-ordered within one function frame, with just enough
-// structure — parent links, assignment def-use, early-exit marking,
-// dominating and preceding guard conditions, and a transitive derived-value
-// closure — to express the contracts the suite checks. The trade-offs this
-// buys are documented per helper; every analyzer that uses a helper inherits
-// its approximations.
+// narrow32) build on. It deliberately stops short of a full CFG: analysis
+// is position-ordered within one function frame, with just enough
+// structure — parent links, assignment def-use, dominating and preceding
+// guard conditions, and a transitive derived-value closure — to express the
+// contracts the suite checks. The trade-offs this buys are documented per
+// helper; every analyzer that uses a helper inherits its approximations.
 
 import (
 	"go/ast"
@@ -36,23 +35,17 @@ func ParentMap(root ast.Node) map[ast.Node]ast.Node {
 	return parents
 }
 
-// assign records one definition of an object: where, and from what
-// expression (nil for bindings with no single source expression, e.g. a
-// function parameter).
-type assign struct {
-	pos token.Pos
-	rhs ast.Expr
-}
-
 // Frame is the dataflow index of one function body (including nested func
-// literals: a literal shares its enclosing frame's variables, so taint and
-// kills flow through it).
+// literals: a literal shares its enclosing frame's variables, so taint flows
+// through it).
 type Frame struct {
 	Info    *types.Info
 	Root    ast.Node
 	Parents map[ast.Node]ast.Node
 
-	assigns map[types.Object][]assign
+	// assigns lists each object's definitions by source expression (nil
+	// for a binding with no single source expression).
+	assigns map[types.Object][]ast.Expr
 	// rangeSrc maps a range-statement key/value object to the ranged-over
 	// expression it is drawn from.
 	rangeSrc map[types.Object]ast.Expr
@@ -61,7 +54,6 @@ type Frame struct {
 	// variable, so Derived can bind arguments to parameters.
 	litParams map[types.Object][]types.Object
 	litCalls  map[types.Object][][]ast.Expr
-	exits     map[*ast.CallExpr]bool
 }
 
 // NewFrame indexes one function body.
@@ -70,11 +62,10 @@ func NewFrame(info *types.Info, root ast.Node) *Frame {
 		Info:      info,
 		Root:      root,
 		Parents:   ParentMap(root),
-		assigns:   make(map[types.Object][]assign),
+		assigns:   make(map[types.Object][]ast.Expr),
 		rangeSrc:  make(map[types.Object]ast.Expr),
 		litParams: make(map[types.Object][]types.Object),
 		litCalls:  make(map[types.Object][][]ast.Expr),
-		exits:     make(map[*ast.CallExpr]bool),
 	}
 	ast.Inspect(root, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -94,7 +85,7 @@ func NewFrame(info *types.Info, root ast.Node) *Frame {
 				} else if len(n.Values) == 1 {
 					rhs = n.Values[0] // tuple init: every name derives from it
 				}
-				f.assigns[obj] = append(f.assigns[obj], assign{pos: name.Pos(), rhs: rhs})
+				f.assigns[obj] = append(f.assigns[obj], rhs)
 			}
 		case *ast.CallExpr:
 			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
@@ -102,12 +93,6 @@ func NewFrame(info *types.Info, root ast.Node) *Frame {
 					f.litCalls[obj] = append(f.litCalls[obj], n.Args)
 				}
 			}
-		case *ast.BlockStmt:
-			markExits(n.List, f.exits)
-		case *ast.CaseClause:
-			markExits(n.Body, f.exits)
-		case *ast.CommClause:
-			markExits(n.Body, f.exits)
 		}
 		return true
 	})
@@ -134,7 +119,7 @@ func (f *Frame) indexAssign(as *ast.AssignStmt) {
 		} else {
 			rhs = as.Rhs[i]
 		}
-		f.assigns[obj] = append(f.assigns[obj], assign{pos: id.Pos(), rhs: rhs})
+		f.assigns[obj] = append(f.assigns[obj], rhs)
 		if lit, ok := ast.Unparen(rhs).(*ast.FuncLit); ok {
 			var params []types.Object
 			for _, field := range lit.Type.Params.List {
@@ -162,54 +147,8 @@ func (f *Frame) indexRange(rs *ast.RangeStmt) {
 		if obj == nil {
 			continue
 		}
-		f.assigns[obj] = append(f.assigns[obj], assign{pos: id.Pos(), rhs: rs.X})
+		f.assigns[obj] = append(f.assigns[obj], rs.X)
 		f.rangeSrc[obj] = rs.X
-	}
-}
-
-// AssignPositions returns every position where obj is (re)defined in the
-// frame, in source order of discovery.
-func (f *Frame) AssignPositions(obj types.Object) []token.Pos {
-	out := make([]token.Pos, 0, len(f.assigns[obj]))
-	for _, a := range f.assigns[obj] {
-		out = append(out, a.pos)
-	}
-	return out
-}
-
-// KilledBetween reports whether obj is reassigned strictly between from and
-// to. The check is position-ordered, not path-sensitive: a kill on a
-// sibling branch counts. Analyzers that use it (recycleuse) accept the
-// resulting false negatives in exchange for never flagging the legal
-// steady-state loop shape.
-func (f *Frame) KilledBetween(obj types.Object, from, to token.Pos) bool {
-	for _, a := range f.assigns[obj] {
-		if a.pos > from && a.pos < to {
-			return true
-		}
-	}
-	return false
-}
-
-// ExitsAfterCall reports whether call's statement is immediately followed by
-// a return in the same statement list: `f(x); return …` exits the frame, so
-// positionally-later code can never run after the call.
-func (f *Frame) ExitsAfterCall(call *ast.CallExpr) bool { return f.exits[call] }
-
-// markExits records calls whose statement is immediately followed by a
-// return in the same statement list.
-func markExits(stmts []ast.Stmt, exitsAfter map[*ast.CallExpr]bool) {
-	for i, s := range stmts {
-		es, ok := s.(*ast.ExprStmt)
-		if !ok || i+1 >= len(stmts) {
-			continue
-		}
-		if _, ret := stmts[i+1].(*ast.ReturnStmt); !ret {
-			continue
-		}
-		if call, ok := es.X.(*ast.CallExpr); ok {
-			exitsAfter[call] = true
-		}
 	}
 }
 
@@ -241,8 +180,8 @@ func (f *Frame) Derived(seeds ...types.Object) map[types.Object]bool {
 			if derived[obj] {
 				continue
 			}
-			for _, a := range as {
-				if a.rhs != nil && f.Mentions(a.rhs, derived) {
+			for _, rhs := range as {
+				if rhs != nil && f.Mentions(rhs, derived) {
 					derived[obj] = true
 					changed = true
 					break

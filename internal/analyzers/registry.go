@@ -14,7 +14,6 @@ import (
 	"gearbox/internal/analyzers/lockcheck"
 	"gearbox/internal/analyzers/maprange"
 	"gearbox/internal/analyzers/narrow32"
-	"gearbox/internal/analyzers/recycleuse"
 	"gearbox/internal/analyzers/sharedwrite"
 	"gearbox/internal/analyzers/wallclock"
 )
@@ -26,7 +25,6 @@ func All() []*analysis.Analyzer {
 		globalrand.Analyzer,
 		wallclock.Analyzer,
 		hotalloc.Analyzer,
-		recycleuse.Analyzer,
 		sharedwrite.Analyzer,
 		borrowretain.Analyzer,
 		lockcheck.Analyzer,
@@ -46,15 +44,14 @@ var simulationPkgs = map[string]bool{
 	"gearbox/internal/fulcrum":      true,
 	"gearbox/internal/interconnect": true,
 	"gearbox/internal/mem":          true,
-	"gearbox/internal/par":          true,
 	"gearbox/internal/telemetry":    true,
 }
 
 // preprocessingPkgs are the parallel preprocessing pipeline packages (mtx
-// ingest, sparse builds, generators, partition planning). Their contract is
-// the same bit-identical-at-any-width determinism as the simulator's, so
-// the wallclock ban binds them too: host time can never influence chunking,
-// sorting, or placement. The streaming ingest path (mtx/stream.go,
+// ingest, sparse builds, generators, partition planning) and the fork-join
+// pool they run on. Their contract is the same bit-identical-at-any-width
+// determinism as the simulator's, so the wallclock ban binds them too: host
+// time can never influence chunking, sorting, or placement. The streaming ingest path (mtx/stream.go,
 // sparse/stream.go) lives inside these packages and is bound by the same
 // sets — its segment windowing and two-pass placement must stay
 // time-independent just like the whole-slice builds (CSCFromCOO,
@@ -64,6 +61,7 @@ var preprocessingPkgs = map[string]bool{
 	"gearbox/internal/sparse":    true,
 	"gearbox/internal/gen":       true,
 	"gearbox/internal/partition": true,
+	"gearbox/internal/par":       true,
 }
 
 // observabilityPkgs are host-side measurement packages: they may read the
@@ -96,9 +94,9 @@ var concurrencyPkgs = map[string]bool{
 //   - narrow32 binds the preprocessing packages, where nnz/row-count-sized
 //     values live — the simulator proper only sees post-ingest indices that
 //     ingest has already capped;
-//   - everything else — maprange, globalrand, hotalloc, recycleuse,
-//     sharedwrite, borrowretain — sweeps the whole module: their findings
-//     are either real hazards or justified annotations anywhere.
+//   - everything else — maprange, globalrand, hotalloc, sharedwrite,
+//     borrowretain — sweeps the whole module: their findings are either
+//     real hazards or justified annotations anywhere.
 func Applies(a *analysis.Analyzer, path string) bool {
 	switch a.Name {
 	case wallclock.Analyzer.Name:

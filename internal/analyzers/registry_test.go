@@ -54,9 +54,9 @@ func TestAppliesPolicy(t *testing.T) {
 		t.Errorf("hotalloc must bind gearbox/internal/obs")
 	}
 
-	// All nine analyzers must be registered and bound to some policy.
+	// All eight analyzers must be registered and bound to some policy.
 	for _, name := range []string{
-		"maprange", "globalrand", "wallclock", "hotalloc", "recycleuse",
+		"maprange", "globalrand", "wallclock", "hotalloc",
 		"sharedwrite", "borrowretain", "lockcheck", "narrow32",
 	} {
 		byName(name) // fatal if missing
@@ -91,9 +91,16 @@ func TestAppliesPolicy(t *testing.T) {
 	if analyzers.Applies(narrow32, "gearbox/internal/gearbox") {
 		t.Errorf("narrow32 must not bind the simulation core")
 	}
+	// Only preprocessing runs on the par pool, so par is bound as
+	// preprocessing: wallclock and narrow32 both apply.
+	for _, a := range []*analysis.Analyzer{wallclock, narrow32} {
+		if !analyzers.Applies(a, "gearbox/internal/par") {
+			t.Errorf("%s must bind gearbox/internal/par", a.Name)
+		}
+	}
 
 	for _, name := range []string{
-		"maprange", "globalrand", "hotalloc", "recycleuse",
+		"maprange", "globalrand", "hotalloc",
 		"sharedwrite", "borrowretain",
 	} {
 		a := byName(name)

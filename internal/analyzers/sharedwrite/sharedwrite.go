@@ -110,8 +110,8 @@ var poolForEachNames = map[string]bool{
 }
 
 // isPoolForEach matches method calls with a poolForEachNames name on a
-// (pointer to a) named type Pool — name-based like recycleuse, so fixtures
-// and future pools match without importing internal/par.
+// (pointer to a) named type Pool — name-based, so fixtures and future pools
+// match without importing internal/par.
 func isPoolForEach(pass *analysis.Pass, call *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || !poolForEachNames[sel.Sel.Name] {

@@ -49,21 +49,14 @@ func BFS(m *sparse.CSC, source int32, cfg RunConfig) (*BFSResult, error) {
 	if maxIters == 0 {
 		maxIters = int(n)
 	}
-	var nextBuf []gearbox.FrontierEntry // reused extraction buffer
+	var nextBuf []gearbox.FrontierEntry // reused output buffer
+	var st gearbox.IterStats
 	for depth := int32(1); len(entries) > 0 && res.Work.Iterations < maxIters; depth++ {
-		f, err := mach.DistributeFrontier(entries)
+		nextBuf, st, err = mach.Iterate(nextBuf[:0], entries, gearbox.IterateOptions{})
 		if err != nil {
 			return nil, err
 		}
-		next, st, err := mach.Iterate(f, gearbox.IterateOptions{})
-		if err != nil {
-			return nil, err
-		}
-		mach.Recycle(f)
 		res.addIter(st, len(entries), false)
-
-		nextBuf = next.AppendEntries(nextBuf[:0])
-		mach.Recycle(next)
 		entries = entries[:0]
 		for _, e := range nextBuf {
 			if levelsNew[e.Index] < 0 {

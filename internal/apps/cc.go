@@ -47,21 +47,14 @@ func ConnectedComponents(m *sparse.CSC, cfg RunConfig) (*CCResult, error) {
 	if maxIters == 0 {
 		maxIters = int(n)
 	}
-	var nextBuf []gearbox.FrontierEntry // reused extraction buffer
+	var nextBuf []gearbox.FrontierEntry // reused output buffer
+	var st gearbox.IterStats
 	for len(entries) > 0 && res.Work.Iterations < maxIters {
-		f, err := mach.DistributeFrontier(entries)
+		nextBuf, st, err = mach.Iterate(nextBuf[:0], entries, gearbox.IterateOptions{})
 		if err != nil {
 			return nil, err
 		}
-		next, st, err := mach.Iterate(f, gearbox.IterateOptions{})
-		if err != nil {
-			return nil, err
-		}
-		mach.Recycle(f)
 		res.addIter(st, len(entries), false)
-
-		nextBuf = next.AppendEntries(nextBuf[:0])
-		mach.Recycle(next)
 		entries = entries[:0]
 		for _, e := range nextBuf {
 			if e.Value < labels[e.Index] {

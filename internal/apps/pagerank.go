@@ -56,7 +56,8 @@ func PageRank(m *sparse.CSC, damping float32, iters int, cfg RunConfig) (*PRResu
 
 	res := &PRResult{Result: newResult(m)}
 	entries := make([]gearbox.FrontierEntry, 0, n)
-	var nextBuf []gearbox.FrontierEntry // reused extraction buffer
+	var nextBuf []gearbox.FrontierEntry // reused output buffer
+	var st gearbox.IterStats
 	for it := 0; it < iters; it++ {
 		entries = entries[:0]
 		for c := int32(0); c < n; c++ {
@@ -64,19 +65,11 @@ func PageRank(m *sparse.CSC, damping float32, iters int, cfg RunConfig) (*PRResu
 				entries = append(entries, gearbox.FrontierEntry{Index: c, Value: damping * pr[c] / colSum[c]})
 			}
 		}
-		f, err := mach.DistributeFrontier(entries)
+		nextBuf, st, err = mach.Iterate(nextBuf[:0], entries, gearbox.IterateOptions{Apply: &gearbox.ApplySpec{Alpha: teleport, Y: ones}})
 		if err != nil {
 			return nil, err
 		}
-		next, st, err := mach.Iterate(f, gearbox.IterateOptions{Apply: &gearbox.ApplySpec{Alpha: teleport, Y: ones}})
-		if err != nil {
-			return nil, err
-		}
-		mach.Recycle(f)
 		res.addIter(st, len(entries), true)
-
-		nextBuf = next.AppendEntries(nextBuf[:0])
-		mach.Recycle(next)
 		for i := range pr {
 			pr[i] = 0
 		}

@@ -34,6 +34,7 @@ func SpGEMM(a *sparse.CSC, b *sparse.CSC, cfg RunConfig) (*SpGEMMResult, error) 
 	res := &SpGEMMResult{Result: newResult(a)}
 	out := sparse.NewCOO(a.NumRows, b.NumCols)
 	var entries, colBuf []gearbox.FrontierEntry // reused per-column buffers
+	var st gearbox.IterStats
 	for j := int32(0); j < b.NumCols; j++ {
 		rows, vals := b.Col(j)
 		if rows.Len() == 0 {
@@ -43,18 +44,11 @@ func SpGEMM(a *sparse.CSC, b *sparse.CSC, cfg RunConfig) (*SpGEMMResult, error) 
 		for i, r := range rows.All() {
 			entries = append(entries, gearbox.FrontierEntry{Index: plan.Perm.New[r], Value: vals[i]})
 		}
-		f, err := mach.DistributeFrontier(entries)
+		colBuf, st, err = mach.Iterate(colBuf[:0], entries, gearbox.IterateOptions{})
 		if err != nil {
 			return nil, err
 		}
-		col, st, err := mach.Iterate(f, gearbox.IterateOptions{})
-		if err != nil {
-			return nil, err
-		}
-		mach.Recycle(f)
 		res.addIter(st, len(entries), false)
-		colBuf = col.AppendEntries(colBuf[:0])
-		mach.Recycle(col)
 		for _, e := range colBuf {
 			out.Entries = append(out.Entries, sparse.Entry{
 				Row: plan.Perm.Old[e.Index], Col: j, Val: e.Value,

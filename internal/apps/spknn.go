@@ -44,25 +44,18 @@ func SpKNN(m *sparse.CSC, numQueries, queryNNZ, k int, seed int64, cfg RunConfig
 
 	res := &KNNResult{Result: newResult(m)}
 	var entries, scoreBuf []gearbox.FrontierEntry // reused per-query buffers
+	var st gearbox.IterStats
 	for q := 0; q < numQueries; q++ {
 		idx, vals := QueryVector(m.NumRows, queryNNZ, seed+int64(q))
 		entries = entries[:0]
 		for i := range idx {
 			entries = append(entries, gearbox.FrontierEntry{Index: plan.Perm.New[idx[i]], Value: vals[i]})
 		}
-		f, err := mach.DistributeFrontier(entries)
+		scoreBuf, st, err = mach.Iterate(scoreBuf[:0], entries, gearbox.IterateOptions{})
 		if err != nil {
 			return nil, err
 		}
-		scores, st, err := mach.Iterate(f, gearbox.IterateOptions{})
-		if err != nil {
-			return nil, err
-		}
-		mach.Recycle(f)
 		res.addIter(st, len(entries), false)
-
-		scoreBuf = scores.AppendEntries(scoreBuf[:0])
-		mach.Recycle(scores)
 		hits := make([]Neighbor, 0, len(scoreBuf))
 		for _, e := range scoreBuf {
 			hits = append(hits, Neighbor{Sample: plan.Perm.Old[e.Index], Score: e.Value})

@@ -36,22 +36,16 @@ func SpMV(m *sparse.CSC, x []float32, cfg RunConfig) (*SpMVResult, error) {
 			entries = append(entries, gearbox.FrontierEntry{Index: plan.Perm.New[old], Value: v})
 		}
 	}
-	f, err := mach.DistributeFrontier(entries)
+	out, st, err := mach.Iterate(nil, entries, gearbox.IterateOptions{})
 	if err != nil {
 		return nil, err
 	}
-	out, st, err := mach.Iterate(f, gearbox.IterateOptions{})
-	if err != nil {
-		return nil, err
-	}
-	mach.Recycle(f)
 
 	res := &SpMVResult{Result: newResult(m), Y: make([]float32, m.NumRows)}
 	res.addIter(st, len(entries), false)
-	for _, e := range out.Entries() {
+	for _, e := range out {
 		res.Y[plan.Perm.Old[e.Index]] = e.Value
 	}
-	mach.Recycle(out)
 	res.finish()
 	return res, nil
 }

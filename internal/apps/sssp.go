@@ -47,21 +47,14 @@ func SSSP(m *sparse.CSC, source int32, cfg RunConfig) (*SSSPResult, error) {
 		maxIters = int(n)
 	}
 	res := &SSSPResult{Result: newResult(m)}
-	var nextBuf []gearbox.FrontierEntry // reused extraction buffer
+	var nextBuf []gearbox.FrontierEntry // reused output buffer
+	var st gearbox.IterStats
 	for len(entries) > 0 && res.Work.Iterations < maxIters {
-		f, err := mach.DistributeFrontier(entries)
+		nextBuf, st, err = mach.Iterate(nextBuf[:0], entries, gearbox.IterateOptions{})
 		if err != nil {
 			return nil, err
 		}
-		next, st, err := mach.Iterate(f, gearbox.IterateOptions{})
-		if err != nil {
-			return nil, err
-		}
-		mach.Recycle(f)
 		res.addIter(st, len(entries), false)
-
-		nextBuf = next.AppendEntries(nextBuf[:0])
-		mach.Recycle(next)
 		entries = entries[:0]
 		for _, e := range nextBuf {
 			if e.Value < dist[e.Index] {

@@ -35,25 +35,18 @@ func SVM(m *sparse.CSC, batches, weightNNZ int, bias float32, seed int64, cfg Ru
 
 	res := &SVMResult{Result: newResult(m)}
 	var entries, scoreBuf []gearbox.FrontierEntry // reused per-batch buffers
+	var st gearbox.IterStats
 	for b := 0; b < batches; b++ {
 		idx, vals := WeightVector(n, weightNNZ, seed+int64(b))
 		entries = entries[:0]
 		for i := range idx {
 			entries = append(entries, gearbox.FrontierEntry{Index: plan.Perm.New[idx[i]], Value: vals[i]})
 		}
-		f, err := mach.DistributeFrontier(entries)
+		scoreBuf, st, err = mach.Iterate(scoreBuf[:0], entries, gearbox.IterateOptions{})
 		if err != nil {
 			return nil, err
 		}
-		scores, st, err := mach.Iterate(f, gearbox.IterateOptions{})
-		if err != nil {
-			return nil, err
-		}
-		mach.Recycle(f)
 		res.addIter(st, len(entries), false)
-
-		scoreBuf = scores.AppendEntries(scoreBuf[:0])
-		mach.Recycle(scores)
 		classes := make([]int8, n)
 		for i := range classes {
 			classes[i] = classify(0, bias)

@@ -11,9 +11,9 @@ import (
 // BenchmarkBFSAppSerial drives a full multi-iteration BFS traversal of the
 // holly RMAT preset per op — the app-level counterpart of the gearbox
 // package's per-iteration benchmarks. Each traversal is dozens of chained
-// DistributeFrontier/Iterate/Recycle cycles, so allocs/op directly shows
-// whether the steady-state recycle path holds up under a real frontier
-// schedule (growing, peaking, draining).
+// Iterate calls into one reused output buffer, so allocs/op directly shows
+// whether the steady-state path holds up under a real frontier schedule
+// (growing, peaking, draining).
 func BenchmarkBFSAppSerial(b *testing.B) {
 	ds, err := gen.Load("holly", gen.Small)
 	if err != nil {

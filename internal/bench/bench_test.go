@@ -132,10 +132,10 @@ func TestFig14bEnergyReduction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for app, ratio := range data.Ratio {
-		// Paper: ~97% average reduction. Even at tiny scale the reduction
-		// must be >= 90%.
-		if ratio > 0.10 {
-			t.Fatalf("%s: Gearbox energy is %.1f%% of GPU, want < 10%%", app, 100*ratio)
+		// Paper: ~97% average reduction. Every app meets it even at tiny
+		// scale (98.1-98.6% measured), so the claim is checked per app.
+		if ratio >= 0.03 {
+			t.Fatalf("%s: Gearbox energy is %.2f%% of GPU, want < 3%% (the paper's 97%% reduction)", app, 100*ratio)
 		}
 		if share := data.RowActShare[app]; share < 0.5 {
 			t.Fatalf("%s: row activation share %.2f, want dominant (§7.4)", app, share)

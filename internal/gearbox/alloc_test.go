@@ -14,9 +14,9 @@ import (
 	"gearbox/internal/telemetry"
 )
 
-// TestIterateSteadyStateAllocs is the tentpole's regression test: once an
-// application recycles its frontiers and extracts entries through a reused
-// buffer, a full DistributeFrontier → Iterate → AppendEntries cycle allocates
+// TestIterateSteadyStateAllocs pins the steady-state contract: once an
+// application hands Iterate a reused output buffer, a full iteration —
+// step 1's split of the input through step 6's emission — allocates
 // nothing. Swept over the Table 4 versions so the V2 logic-layer path, the
 // V3 replica reduction and the hypothetical-V2 short fold all stay on the
 // pooled-scratch path.
@@ -28,21 +28,14 @@ func TestIterateSteadyStateAllocs(t *testing.T) {
 			entries := randomFrontier(m.NumRows, 60, 7)
 			var buf []FrontierEntry
 			cycle := func() {
-				f, err := mach.DistributeFrontier(entries)
+				var err error
+				buf, _, err = mach.Iterate(buf[:0], entries, IterateOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				next, _, err := mach.Iterate(f, IterateOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				mach.Recycle(f)
-				buf = next.AppendEntries(buf[:0])
-				mach.Recycle(next)
 			}
-			// Warm the pools: first iterations grow emit buckets, receive
-			// buffers, frontier shells and the entry buffer to steady-state
-			// capacity.
+			// Warm the pools: first iterations grow the split and dispatch
+			// buffers and the output buffer to steady-state capacity.
 			for i := 0; i < 3; i++ {
 				cycle()
 			}
@@ -68,17 +61,11 @@ func TestIterateSteadyStateAllocsTelemetry(t *testing.T) {
 			entries := randomFrontier(m.NumRows, 60, 7)
 			var buf []FrontierEntry
 			cycle := func() {
-				f, err := mach.DistributeFrontier(entries)
+				var err error
+				buf, _, err = mach.Iterate(buf[:0], entries, IterateOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				next, _, err := mach.Iterate(f, IterateOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				mach.Recycle(f)
-				buf = next.AppendEntries(buf[:0])
-				mach.Recycle(next)
 			}
 			for i := 0; i < 3; i++ {
 				cycle()
@@ -106,17 +93,11 @@ func TestIterateSteadyStateAllocsObsSink(t *testing.T) {
 			entries := randomFrontier(m.NumRows, 60, 7)
 			var buf []FrontierEntry
 			cycle := func() {
-				f, err := mach.DistributeFrontier(entries)
+				var err error
+				buf, _, err = mach.Iterate(buf[:0], entries, IterateOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				next, _, err := mach.Iterate(f, IterateOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				mach.Recycle(f)
-				buf = next.AppendEntries(buf[:0])
-				mach.Recycle(next)
 			}
 			for i := 0; i < 3; i++ {
 				cycle()

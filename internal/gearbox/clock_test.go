@@ -55,14 +55,11 @@ func TestTraceSeesEveryStep(t *testing.T) {
 		}
 		seen = append(seen, tick{name, at})
 	})
-	f, err := mach.DistributeFrontier(randomFrontier(m.NumRows, 30, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
 	clock := 0.0
+	entries := randomFrontier(m.NumRows, 30, 3)
 	for it := 0; it < 2; it++ {
 		seen = seen[:0]
-		next, st, err := mach.Iterate(f, IterateOptions{})
+		next, st, err := mach.Iterate(nil, entries, IterateOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,9 +75,9 @@ func TestTraceSeesEveryStep(t *testing.T) {
 		if mach.NowNs() != clock {
 			t.Fatalf("iteration %d ended at %v, want %v", it, mach.NowNs(), clock)
 		}
-		if next.NNZ() == 0 {
+		if len(next) == 0 {
 			break
 		}
-		f = next
+		entries = next
 	}
 }

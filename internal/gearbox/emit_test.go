@@ -48,8 +48,9 @@ func bitmapClear(m *Machine) bool {
 // sets: slots marked twice, slots marked but accumulated back to the clean
 // value, and SPU ranges that are empty or cross bitmap word boundaries.
 // Every bucket must equal the sort-and-dedup reference of the non-clean
-// marked slots its SPU owns, and the walk must leave the bitmap and the
-// emitted output slots clean.
+// marked slots its SPU owns, appended in SPU order after what dst already
+// holds, each SPU must be charged only for its own entries, and the walk
+// must leave the bitmap and the emitted output slots clean.
 func TestStep6EmitBitmap(t *testing.T) {
 	m := testMatrix(t, 41)
 	for _, sem := range []semiring.Semiring{semiring.PlusTimes{}, semiring.MinPlus{}} {
@@ -92,29 +93,35 @@ func TestStep6EmitBitmap(t *testing.T) {
 					}
 				}
 
-				next := mach.getFrontier()
+				// Entries already in dst stay ahead of the emitted ones.
+				prefix := []FrontierEntry{{Index: -1, Value: 9}}
+				clear(mach.busy)
 				var st IterStats
 				var ev Events
-				mach.step6Emit(next, &st, &ev)
-
-				total := 0
-				for k, got := range next.Local {
-					r := plan.Ranges[k]
-					for i, e := range got {
-						if !r.Contains(e.Index) {
-							t.Fatalf("trial %d: SPU %d emitted %d outside [%d, %d]", trial, k, e.Index, r.First, r.Last)
-						}
-						if i > 0 && got[i-1].Index >= e.Index {
-							t.Fatalf("trial %d: SPU %d bucket not strictly ascending: %v", trial, k, got)
-						}
-					}
-					if !slices.Equal(got, want[k]) {
-						t.Fatalf("trial %d: SPU %d emitted %v, want %v", trial, k, got, want[k])
-					}
-					total += len(got)
+				got := mach.step6Emit(prefix, &st, &ev)
+				if got[0] != prefix[0] {
+					t.Fatalf("trial %d: emission overwrote dst's prefix: %v", trial, got[0])
 				}
-				if st.FrontierOut != int64(total) {
-					t.Fatalf("trial %d: FrontierOut %d, emitted %d", trial, st.FrontierOut, total)
+				got = got[1:]
+
+				var flat []FrontierEntry
+				for k, w := range want {
+					flat = append(flat, w...)
+					// Every SPU is charged for exactly its own entries.
+					if charged := mach.busy[k] > 0; charged != (len(w) > 0) {
+						t.Fatalf("trial %d: SPU %d busy %v for %d emitted entries", trial, k, mach.busy[k], len(w))
+					}
+				}
+				for i := 1; i < len(got); i++ {
+					if got[i-1].Index >= got[i].Index {
+						t.Fatalf("trial %d: emission not strictly ascending at %d: %v", trial, i, got)
+					}
+				}
+				if !slices.Equal(got, flat) {
+					t.Fatalf("trial %d: emitted %v, want %v", trial, got, flat)
+				}
+				if st.FrontierOut != int64(len(got)) {
+					t.Fatalf("trial %d: FrontierOut %d, emitted %d", trial, st.FrontierOut, len(got))
 				}
 				if !bitmapClear(mach) {
 					t.Fatalf("trial %d: bitmap not clear after emission", trial)
@@ -124,7 +131,6 @@ func TestStep6EmitBitmap(t *testing.T) {
 						t.Fatalf("trial %d: output[%d] = %v after emission, want clean", trial, v, x)
 					}
 				}
-				mach.Recycle(next)
 			}
 		})
 	}
@@ -145,22 +151,18 @@ func TestDirtyBitmapClearAfterIterateAndReset(t *testing.T) {
 				y[i] = 1
 			}
 			for it := 0; it < 3; it++ {
-				f, err := mach.DistributeFrontier(entries)
-				if err != nil {
-					t.Fatal(err)
-				}
 				opts := IterateOptions{}
 				if it == 1 {
 					opts.Apply = &ApplySpec{Alpha: 1, Y: y}
 				}
-				next, _, err := mach.Iterate(f, opts)
+				next, _, err := mach.Iterate(nil, entries, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !bitmapClear(mach) {
 					t.Fatalf("iteration %d left dirty bits set", it)
 				}
-				entries = next.Entries()
+				entries = next
 			}
 			for v := mach.plan.LastLong + 1; v < m.NumRows; v += 7 {
 				mach.markDirty(v)

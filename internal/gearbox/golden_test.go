@@ -75,10 +75,10 @@ func checkGolden(t *testing.T, key string, got uint64) {
 
 // digestRun digests a run: every iteration's statistics and returned
 // frontier, then the machine's simulated clock and injected flip count.
-func digestRun(mach *Machine, stats []IterStats, frontiers []*Frontier) uint64 {
+func digestRun(mach *Machine, stats []IterStats, frontiers [][]FrontierEntry) uint64 {
 	h := fnv.New64a()
 	for i := range stats {
-		digestIteration(h, stats[i], frontiers[i])
+		digestIteration(h, stats[i], frontiers[i], mach.Plan())
 	}
 	fmt.Fprintf(h, "now=%v injected=%d\n", mach.NowNs(), mach.ErrorsInjected())
 	return h.Sum64()
@@ -95,8 +95,10 @@ func digestTelemetry(sp *telemetry.SpatialStats) uint64 {
 // digestIteration folds one iteration's statistics and returned frontier
 // into h. IterStats prints with %v, whose float formatting is the shortest
 // representation that round-trips, so the text is bit-exact; frontier values
-// are hashed as raw bits.
-func digestIteration(h hash.Hash64, st IterStats, next *Frontier) {
+// are hashed as raw bits. The ascending frontier is hashed in pieces — the
+// long region, then each SPU's range in turn — so the digests are those of
+// the engine that returned the frontier split by residence.
+func digestIteration(h hash.Hash64, st IterStats, next []FrontierEntry, plan *partition.Plan) {
 	fmt.Fprintf(h, "%+v\n", st)
 	var buf [8]byte
 	put := func(es []FrontierEntry) {
@@ -108,9 +110,18 @@ func digestIteration(h hash.Hash64, st IterStats, next *Frontier) {
 			h.Write(buf[:])
 		}
 	}
-	put(next.Long)
-	for _, l := range next.Local {
-		put(l)
+	upTo := func(last int32) []FrontierEntry {
+		i := 0
+		for i < len(next) && next[i].Index <= last {
+			i++
+		}
+		es := next[:i]
+		next = next[i:]
+		return es
+	}
+	put(upTo(plan.LastLong))
+	for _, r := range plan.Ranges {
+		put(upTo(r.Last))
 	}
 }
 
@@ -133,7 +144,7 @@ func TestLongActivationOrderGolden(t *testing.T) {
 				t.Fatalf("plan has %d long columns, want at least 5", last+1)
 			}
 			// Long activations out of order, one repeated, interleaved
-			// with short ones; DistributeFrontier keeps the given order.
+			// with short ones; step 1 keeps the given order.
 			entries := []FrontierEntry{
 				{Index: last, Value: 0.37},
 				{Index: last + 3, Value: 1.21},
@@ -145,19 +156,91 @@ func TestLongActivationOrderGolden(t *testing.T) {
 				{Index: last - 1, Value: 0.0271},
 			}
 			h := fnv.New64a()
-			f, err := mach.DistributeFrontier(entries)
-			if err != nil {
-				t.Fatal(err)
-			}
 			for it := 0; it < 2; it++ {
-				next, st, err := mach.Iterate(f, IterateOptions{})
+				next, st, err := mach.Iterate(nil, entries, IterateOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				digestIteration(h, st, next)
-				f = next
+				digestIteration(h, st, next, mach.Plan())
+				entries = next
 			}
 			if got, want := h.Sum64(), longActivationGolden[name]; got != want {
+				t.Fatalf("digest %#x, want %#x", got, want)
+			}
+		})
+	}
+}
+
+// shortActivationGolden pins the digest of a two-iteration run driven by a
+// frontier whose short part is unsorted: one short index is activated
+// twice and two columns of one SPU arrive in descending order. Per Table 4
+// version. Any change to the order in which step 3 walks an SPU's
+// activated columns changes the float bits and the digest.
+var shortActivationGolden = map[string]uint64{
+	"V1":     0x661edf8e9923c819,
+	"HypoV2": 0x0a96e9610234a77b,
+	"V2":     0x1b7dd3a1d6b9e98e,
+	"V3":     0xfa5187ed991519b5,
+}
+
+// shortOrderFrontier builds the shortActivationGolden input for plan: the
+// first and last column of the first SPU owning at least three non-empty
+// columns, given last-first, the first one repeated, interleaved with
+// other short entries and (when the plan has a long region) two long ones.
+// Values are non-integer so the plus-times fold order is observable.
+func shortOrderFrontier(t *testing.T, plan *partition.Plan) []FrontierEntry {
+	t.Helper()
+	k := -1
+	for s, r := range plan.Ranges {
+		if r.Len() < 3 {
+			continue
+		}
+		first, _ := plan.Matrix.Col(r.First)
+		last, _ := plan.Matrix.Col(r.Last)
+		if first.Len() > 0 && last.Len() > 0 {
+			k = s
+			break
+		}
+	}
+	if k < 0 {
+		t.Fatal("no SPU owns three columns with non-empty ends")
+	}
+	a, b := plan.Ranges[k].First, plan.Ranges[k].Last
+	n := plan.Matrix.NumRows
+	entries := []FrontierEntry{
+		{Index: b, Value: 0.731},
+		{Index: n - 1, Value: 1.093},
+		{Index: a, Value: 1.37},
+		{Index: n / 2, Value: 0.257},
+		{Index: b - 1, Value: 2.19},
+		{Index: a, Value: 0.419},
+		{Index: n - 3, Value: 0.0613},
+	}
+	if last := plan.LastLong; last >= 1 {
+		entries = append(entries, FrontierEntry{Index: last, Value: 0.83}, FrontierEntry{Index: 0, Value: 1.7})
+	}
+	return entries
+}
+
+// TestShortActivationOrderGolden feeds Iterate a short frontier in an
+// order a caller may build it and checks the run against a captured
+// digest, so each SPU's columns are folded in the order given.
+func TestShortActivationOrderGolden(t *testing.T) {
+	m := testMatrix(t, 29)
+	for _, vc := range versionConfigs() {
+		t.Run(vc.name, func(t *testing.T) {
+			mach := buildMachine(t, m, vc.cfg, semiring.PlusTimes{})
+			entries := shortOrderFrontier(t, mach.Plan())
+			h := fnv.New64a()
+			for it := 0; it < 2; it++ {
+				next, st, err := mach.Iterate(nil, entries, IterateOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				digestIteration(h, st, next, mach.Plan())
+				entries = next
+			}
+			if got, want := h.Sum64(), shortActivationGolden[vc.name]; got != want {
 				t.Fatalf("digest %#x, want %#x", got, want)
 			}
 		})

@@ -36,7 +36,7 @@ func injectErrors(rate float64, seed uint64) func(*Config) {
 
 // runChained drives iters chained iterations (one with a dense apply) and
 // returns every iteration's stats and frontier, for exact comparison.
-func runChained(t *testing.T, mach *Machine, entries []FrontierEntry, iters int) ([]IterStats, []*Frontier) {
+func runChained(t *testing.T, mach *Machine, entries []FrontierEntry, iters int) ([]IterStats, [][]FrontierEntry) {
 	t.Helper()
 	return runChain(t, mach, entries, iters, true)
 }
@@ -44,16 +44,12 @@ func runChained(t *testing.T, mach *Machine, entries []FrontierEntry, iters int)
 // runChain is runChained with the dense apply of the second iteration
 // optional: without it the chain stays frontier-driven throughout, the
 // shape of SSSP and BFS.
-func runChain(t *testing.T, mach *Machine, entries []FrontierEntry, iters int, apply bool) ([]IterStats, []*Frontier) {
+func runChain(t *testing.T, mach *Machine, entries []FrontierEntry, iters int, apply bool) ([]IterStats, [][]FrontierEntry) {
 	t.Helper()
 	var stats []IterStats
-	var frontiers []*Frontier
+	var frontiers [][]FrontierEntry
 	n := mach.Plan().Matrix.NumRows
 	for i := 0; i < iters; i++ {
-		f, err := mach.DistributeFrontier(entries)
-		if err != nil {
-			t.Fatal(err)
-		}
 		opts := IterateOptions{}
 		if apply && i == 1 {
 			// One dense iteration exercises the apply path.
@@ -63,16 +59,13 @@ func runChain(t *testing.T, mach *Machine, entries []FrontierEntry, iters int, a
 			}
 			opts.Apply = &ApplySpec{Alpha: 1, Y: y}
 		}
-		next, st, err := mach.Iterate(f, opts)
+		next, st, err := mach.Iterate(nil, entries, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Hand the consumed input back to the pool so the chain exercises the
-		// recycle path; next stays live for the exact comparison.
-		mach.Recycle(f)
 		stats = append(stats, st)
 		frontiers = append(frontiers, next)
-		entries = next.Entries()
+		entries = next
 		if len(entries) == 0 {
 			break
 		}
@@ -201,18 +194,14 @@ func TestStep6ReplicaReductionDeterministic(t *testing.T) {
 	}
 	run := func() (IterStats, uint64) {
 		mach := buildMachine(t, m, cfg, semiring.PlusTimes{})
-		f, err := mach.DistributeFrontier(entries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		next, st, err := mach.Iterate(f, IterateOptions{})
+		next, st, err := mach.Iterate(nil, entries, IterateOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st.LongAccums == 0 {
 			t.Fatal("workload did not touch the replicated long region")
 		}
-		return st, digestRun(mach, []IterStats{st}, []*Frontier{next})
+		return st, digestRun(mach, []IterStats{st}, [][]FrontierEntry{next})
 	}
 	a, digest := run()
 	if b, _ := run(); !reflect.DeepEqual(a, b) {
@@ -229,15 +218,11 @@ func TestCorruptDeterministicReplay(t *testing.T) {
 	entries := randomFrontier(m.NumRows, 40, 19)
 	run := func() ([]FrontierEntry, int64, IterStats) {
 		mach := buildMachineWith(t, m, partition.DefaultConfig(), semiring.PlusTimes{}, injectErrors(1, 42))
-		f, err := mach.DistributeFrontier(entries)
+		next, st, err := mach.Iterate(nil, entries, IterateOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		next, st, err := mach.Iterate(f, IterateOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return next.Entries(), mach.ErrorsInjected(), st
+		return next, mach.ErrorsInjected(), st
 	}
 	outA, flipsA, stA := run()
 	outB, flipsB, _ := run()
@@ -283,10 +268,6 @@ func benchmarkIterateDataset(b *testing.B, dataset string) {
 	for i := range entries {
 		entries[i] = FrontierEntry{Index: int32(i), Value: inv}
 	}
-	f, err := mach.DistributeFrontier(entries)
-	if err != nil {
-		b.Fatal(err)
-	}
 	y := make([]float32, n)
 	for i := range y {
 		y[i] = inv
@@ -294,14 +275,15 @@ func benchmarkIterateDataset(b *testing.B, dataset string) {
 	opts := IterateOptions{Apply: &ApplySpec{Alpha: 0.15, Y: y}}
 	b.ReportAllocs()
 	b.ResetTimer()
+	// Each iteration pays step 1's split of the input, as every app does;
+	// the reused output buffer keeps it on the steady-state
+	// zero-allocation path.
+	var next []FrontierEntry
 	for i := 0; i < b.N; i++ {
-		next, _, err := mach.Iterate(f, opts)
+		next, _, err = mach.Iterate(next[:0], entries, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		// Recycle the produced frontier (the reused input f stays live), so
-		// the benchmark measures the steady-state zero-allocation path.
-		mach.Recycle(next)
 	}
 }
 
@@ -342,18 +324,14 @@ func benchmarkIterateSparseLong(b *testing.B) {
 	for v := plan.LastLong + 1; v < ds.Matrix.NumRows; v += 64 {
 		entries = append(entries, FrontierEntry{Index: v, Value: 1.5 + float32(v%97)*0.125})
 	}
-	f, err := mach.DistributeFrontier(entries)
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	var next []FrontierEntry
 	for i := 0; i < b.N; i++ {
-		next, _, err := mach.Iterate(f, IterateOptions{})
+		next, _, err = mach.Iterate(next[:0], entries, IterateOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		mach.Recycle(next)
 	}
 }
 

@@ -12,7 +12,6 @@ package gearbox
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"gearbox/internal/fulcrum"
 	"gearbox/internal/interconnect"
@@ -28,57 +27,6 @@ import (
 type FrontierEntry struct {
 	Index int32
 	Value float32
-}
-
-// Frontier is the sparse input vector partitioned by residence: Local[k]
-// holds the entries whose columns SPU k owns; Long holds entries that
-// activate long columns and live in the logic layer (§3.2).
-type Frontier struct {
-	Local [][]FrontierEntry
-	Long  []FrontierEntry
-
-	// pooled marks a frontier currently owned by a Machine's recycle pool;
-	// it guards against double-Recycle handing the same backing arrays to
-	// two callers.
-	pooled bool
-	// epoch is the machine run epoch the frontier was built in. ResetForRun
-	// bumps the machine's epoch, so a frontier that survived from before a
-	// reset can neither be iterated (Iterate errors) nor slipped back into
-	// the recycle pool (Recycle drops it).
-	epoch int32
-}
-
-// NNZ reports the frontier's total entry count.
-func (f *Frontier) NNZ() int {
-	n := len(f.Long)
-	for _, l := range f.Local {
-		n += len(l)
-	}
-	return n
-}
-
-// Entries flattens the frontier into a sorted entry list (for tests and for
-// handing results back to applications). It allocates; iterative callers
-// should prefer AppendEntries with a reused buffer.
-func (f *Frontier) Entries() []FrontierEntry {
-	return f.AppendEntries(nil)
-}
-
-// AppendEntries appends the frontier's entries to dst in ascending index
-// order and returns the extended slice. Passing dst[:0] of a buffer kept
-// across iterations makes frontier extraction allocation-free in steady
-// state; the appended entries are copies, so dst stays valid after the
-// frontier is recycled.
-//
-//gearbox:steadystate
-func (f *Frontier) AppendEntries(dst []FrontierEntry) []FrontierEntry {
-	start := len(dst)
-	dst = append(dst, f.Long...) //gearbox:alloc-ok caller-owned buffer; grows once to its high-water mark
-	for _, l := range f.Local {
-		dst = append(dst, l...) //gearbox:alloc-ok caller-owned buffer; grows once to its high-water mark
-	}
-	slices.SortFunc(dst[start:], func(a, b FrontierEntry) int { return int(a.Index) - int(b.Index) })
-	return dst
 }
 
 // Config carries machine-level knobs beyond geometry and timing.
@@ -152,6 +100,13 @@ type Machine struct {
 
 	// Scratch reused across iterations.
 	busy []float64
+	// Step 1's split of the input frontier by residence: fLong holds the
+	// long-column activators, fShort the other entries grouped by owner
+	// SPU, SPU k's at fShort[fStart[k]:fStart[k+1]]. Both keep the caller's
+	// order (distribute).
+	fLong  []FrontierEntry
+	fShort []FrontierEntry
+	fStart []int
 	// dirtyBits has one bit per output slot, set when the slot may have
 	// turned non-clean this iteration; step 6 walks it in ascending order
 	// and clears it as it goes.
@@ -181,13 +136,6 @@ type Machine struct {
 	replicate bool    // V3 replicated long region
 	cyc       float64 // SPU cycle time in ns
 	bankOf    []int32 // flat bank id per compute-SPU index
-
-	// Frontier recycle pool: frontiers handed back via Recycle, reused by
-	// DistributeFrontier and step 6 instead of fresh allocations.
-	freeFrontiers []*Frontier
-	// runEpoch counts ResetForRun calls; frontiers are stamped with it so
-	// pre-reset stragglers are rejected instead of corrupting the next run.
-	runEpoch int32
 
 	instrCosts costs
 
@@ -268,6 +216,7 @@ func New(plan *partition.Plan, sem semiring.Semiring, cfg Config) (*Machine, err
 		clean:      sem.Zero(),
 		output:     make([]float32, n),
 		busy:       make([]float64, plan.NumSPUs),
+		fStart:     make([]int, plan.NumSPUs+1),
 		dirtyBits:  make([]uint64, (n+63)/64),
 		dirtyLong:  make([][]int32, plan.NumSPUs),
 		longWork:   make([][]longItem, plan.NumSPUs),
@@ -307,31 +256,6 @@ func (m *Machine) Plan() *partition.Plan { return m.plan }
 // Semiring exposes the machine's algebra.
 func (m *Machine) Semiring() semiring.Semiring { return m.sem }
 
-// DistributeFrontier splits entries (relabeled indexes) by residence. It is
-// the software side of Step 1: long-column activators go to the logic layer,
-// everything else to the SPU owning the column. The returned frontier comes
-// from the machine's recycle pool when one is available; hand it back with
-// Recycle once it is no longer needed to keep steady state allocation-free.
-//
-//gearbox:steadystate
-func (m *Machine) DistributeFrontier(entries []FrontierEntry) (*Frontier, error) {
-	f := m.getFrontier()
-	n := m.plan.Matrix.NumRows
-	for _, e := range entries {
-		switch {
-		case e.Index < 0 || e.Index >= n:
-			m.Recycle(f)
-			return nil, fmt.Errorf("gearbox: frontier index %d out of range", e.Index) //gearbox:alloc-ok cold path: an invalid frontier aborts the run
-		case e.Index <= m.plan.LastLong:
-			f.Long = append(f.Long, e) //gearbox:alloc-ok recycled frontier buffer; grows to its high-water mark
-		default:
-			k := m.plan.OwnerOf[e.Index]
-			f.Local[k] = append(f.Local[k], e) //gearbox:alloc-ok recycled frontier buffer; grows to its high-water mark
-		}
-	}
-	return f, nil
-}
-
 // IterateOptions controls one SpMSpV iteration.
 type IterateOptions struct {
 	// Apply, when non-nil, runs the §2.2 Applying op over the whole output
@@ -357,53 +281,55 @@ var stepNames = [6]string{
 	"step6-applying",
 }
 
-// Iterate runs one generalized SpMSpV iteration: Output = Matrix ⊗ frontier
-// over the machine's semiring, returning the next frontier (the sparse form
-// of the output vector) and the iteration's statistics. The output vector is
+// Iterate runs one generalized SpMSpV iteration: Output = Matrix ⊗ in over
+// the machine's semiring. It appends the next frontier (the sparse form of
+// the output vector) to dst in ascending index order and returns the
+// extended slice with the iteration's statistics. The output vector is
 // reset to clean afterwards, as Step 6 prescribes.
 //
-// The returned frontier's buffers belong to the caller until handed back via
-// Recycle; in steady state (caller recycles its frontiers) Iterate allocates
+// in holds relabeled indexes in any order, duplicates allowed; each SPU
+// folds its entries in the order given. An out-of-range index is an error
+// before any machine state changes. Step 1 consumes in before anything is
+// appended, so dst may share in's backing array (dst = in[:0] reuses one
+// buffer for both), and the machine keeps no reference to either slice.
+// With dst reused across iterations, steady-state Iterate allocates
 // nothing.
 //
 //gearbox:steadystate
-func (m *Machine) Iterate(f *Frontier, opts IterateOptions) (*Frontier, IterStats, error) {
-	if len(f.Local) != m.plan.NumSPUs {
-		return nil, IterStats{}, fmt.Errorf("gearbox: frontier built for %d SPUs, machine has %d", len(f.Local), m.plan.NumSPUs) //gearbox:alloc-ok cold path: caller misuse aborts the iteration
-	}
-	if f.pooled {
-		return nil, IterStats{}, fmt.Errorf("gearbox: frontier was recycled; the pool owns its buffers") //gearbox:alloc-ok cold path: caller misuse aborts the iteration
-	}
-	if f.epoch != m.runEpoch {
-		return nil, IterStats{}, fmt.Errorf("gearbox: frontier from run epoch %d, machine was reset to epoch %d (redistribute the entries after ResetForRun)", f.epoch, m.runEpoch) //gearbox:alloc-ok cold path: caller misuse aborts the iteration
-	}
+func (m *Machine) Iterate(dst, in []FrontierEntry, opts IterateOptions) ([]FrontierEntry, IterStats, error) {
 	if opts.Apply != nil && int32(len(opts.Apply.Y)) != m.plan.Matrix.NumRows {
 		return nil, IterStats{}, fmt.Errorf("gearbox: apply vector length %d, want %d", len(opts.Apply.Y), m.plan.Matrix.NumRows) //gearbox:alloc-ok cold path: caller misuse aborts the iteration
+	}
+	n := m.plan.Matrix.NumRows
+	for _, e := range in {
+		if e.Index < 0 || e.Index >= n {
+			return nil, IterStats{}, fmt.Errorf("gearbox: frontier index %d out of range", e.Index) //gearbox:alloc-ok cold path: an invalid frontier aborts the run
+		}
 	}
 
 	// The six §5 steps each compute functionally, then advance the clock by
 	// their duration, so trace subscribers see the phase timeline.
 	var st IterStats
 	if m.tel != nil {
-		m.tel.BeginIteration(m.iterCount, m.nowNs, int64(f.NNZ()))
+		m.tel.BeginIteration(m.iterCount, m.nowNs, int64(len(in)))
 	}
-	m.step1FrontierDistribution(f, &st)
+	m.step1FrontierDistribution(in, &st)
 	m.endStep(1, &st)
-	m.step2OffsetPacking(f, &st)
+	m.step2OffsetPacking(&st)
 	m.endStep(2, &st)
-	m.step3LocalAccumulations(f, &st)
+	m.step3LocalAccumulations(&st)
 	m.endStep(3, &st)
 	m.step4Dispatching(&st)
 	m.endStep(4, &st)
 	m.step5RemoteAccumulations(&st)
 	m.endStep(5, &st)
-	next := m.step6Applying(opts.Apply, &st)
+	dst = m.step6Applying(dst, opts.Apply, &st)
 	m.endStep(6, &st)
 	m.iterCount++
 	if m.tel != nil {
 		m.tel.EndIteration(m.nowNs, st.FrontierOut)
 	}
-	return next, st, nil
+	return dst, st, nil
 }
 
 // endStep plays step (1-based) on the clock and feeds the telemetry sink.
@@ -479,10 +405,8 @@ func (m *Machine) Pool() *par.Pool { return m.pool }
 // equivalence suite pins that a run after ResetForRun is bit-identical —
 // results, statistics and telemetry — to the same run on a fresh machine.
 //
-// The frontier recycle pool and all scratch allocations survive, which is
-// the point: the second run reuses the first run's high-water buffers.
-// Frontiers that escaped from before the reset are fenced off by a run
-// epoch: Iterate rejects them and Recycle drops them.
+// All scratch allocations survive, which is the point: the second run
+// reuses the first run's high-water buffers.
 func (m *Machine) ResetForRun(sem semiring.Semiring) {
 	if sem != nil {
 		m.sem = sem
@@ -518,7 +442,6 @@ func (m *Machine) ResetForRun(sem semiring.Semiring) {
 	}
 	m.resetScratch()
 	m.iterCount = 0
-	m.runEpoch++
 }
 
 // stepTelemetry feeds the sink after step (1-based) has played on the

@@ -3,6 +3,8 @@ package gearbox
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -91,16 +93,11 @@ func randomFrontier(n int32, nnz int, seed int64) []FrontierEntry {
 
 func checkAgainstReference(t *testing.T, mach *Machine, entries []FrontierEntry) IterStats {
 	t.Helper()
-	f, err := mach.DistributeFrontier(entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	next, st, err := mach.Iterate(f, IterateOptions{})
+	got, st, err := mach.Iterate(nil, entries, IterateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := refSpMSpV(mach.Plan().Matrix, mach.Semiring(), entries)
-	got := next.Entries()
 	if len(got) != len(want) {
 		t.Fatalf("frontier size %d, want %d", len(got), len(want))
 	}
@@ -162,15 +159,10 @@ func TestMultiIterationPropagation(t *testing.T) {
 	entries := []FrontierEntry{{Index: m.NumRows / 2, Value: 1}}
 	for iter := 0; iter < 3; iter++ {
 		want := refSpMSpV(mach.Plan().Matrix, mach.Semiring(), entries)
-		f, err := mach.DistributeFrontier(entries)
+		got, _, err := mach.Iterate(nil, entries, IterateOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		next, _, err := mach.Iterate(f, IterateOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := next.Entries()
 		if len(got) != len(want) {
 			t.Fatalf("iter %d: frontier size %d, want %d", iter, len(got), len(want))
 		}
@@ -194,17 +186,12 @@ func TestApplyDense(t *testing.T) {
 	for i := range y {
 		y[i] = 1
 	}
-	f, err := mach.DistributeFrontier(entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	next, _, err := mach.Iterate(f, IterateOptions{Apply: &ApplySpec{Alpha: 2, Y: y}})
+	got, _, err := mach.Iterate(nil, entries, IterateOptions{Apply: &ApplySpec{Alpha: 2, Y: y}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Reference: accumulate then add 2 everywhere -> every slot non-clean.
 	want := refSpMSpV(mach.Plan().Matrix, mach.Semiring(), entries)
-	got := next.Entries()
 	if int32(len(got)) != m.NumRows {
 		t.Fatalf("dense apply produced %d entries, want %d", len(got), m.NumRows)
 	}
@@ -219,15 +206,14 @@ func TestApplyDense(t *testing.T) {
 func TestApplyRejectsWrongLength(t *testing.T) {
 	m := testMatrix(t, 6)
 	mach := buildMachine(t, m, partition.DefaultConfig(), semiring.PlusTimes{})
-	f, err := mach.DistributeFrontier(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := mach.Iterate(f, IterateOptions{Apply: &ApplySpec{Alpha: 1, Y: []float32{1}}}); err == nil {
+	if _, _, err := mach.Iterate(nil, nil, IterateOptions{Apply: &ApplySpec{Alpha: 1, Y: []float32{1}}}); err == nil {
 		t.Fatal("short apply vector accepted")
 	}
 }
 
+// TestDistributeFrontierRouting: step 1 routes a long activator to the
+// logic layer's list and a short one to its owner SPU, and the returned
+// frontier is strictly ascending and equals the reference.
 func TestDistributeFrontierRouting(t *testing.T) {
 	m := testMatrix(t, 7)
 	cfg := partition.DefaultConfig()
@@ -237,22 +223,132 @@ func TestDistributeFrontierRouting(t *testing.T) {
 	if plan.LastLong < 0 {
 		t.Skip("no long region")
 	}
-	f, err := mach.DistributeFrontier([]FrontierEntry{
-		{Index: 0, Value: 1},                 // long
+	entries := []FrontierEntry{
 		{Index: plan.LastLong + 1, Value: 2}, // short, first owner
-	})
+		{Index: 0, Value: 1},                 // long
+	}
+	got, _, err := mach.Iterate(nil, entries, IterateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Long) != 1 || f.Long[0].Index != 0 {
-		t.Fatalf("long routing wrong: %+v", f.Long)
+	if len(mach.fLong) != 1 || mach.fLong[0] != entries[1] {
+		t.Fatalf("long routing wrong: %+v", mach.fLong)
 	}
 	owner := plan.OwnerOf[plan.LastLong+1]
-	if len(f.Local[owner]) != 1 {
-		t.Fatalf("short entry not at owner %d", owner)
+	if own := mach.fShort[mach.fStart[owner]:mach.fStart[owner+1]]; len(own) != 1 || own[0] != entries[0] {
+		t.Fatalf("short entry not at owner %d: %+v", owner, own)
 	}
-	if _, err := mach.DistributeFrontier([]FrontierEntry{{Index: m.NumRows, Value: 1}}); err == nil {
-		t.Fatal("out-of-range index accepted")
+	if len(mach.fShort) != 1 {
+		t.Fatalf("short split holds %d entries, want 1", len(mach.fShort))
+	}
+	want := refSpMSpV(plan.Matrix, mach.Semiring(), entries)
+	if len(got) != len(want) || len(got) == 0 {
+		t.Fatalf("frontier size %d, want %d", len(got), len(want))
+	}
+	for i, e := range got {
+		if i > 0 && got[i-1].Index >= e.Index {
+			t.Fatalf("frontier not strictly ascending at %d: %v", i, got)
+		}
+		if w, ok := want[e.Index]; !ok || w != e.Value {
+			t.Fatalf("output[%d] = %v, want %v (present=%v)", e.Index, e.Value, w, ok)
+		}
+	}
+}
+
+// TestIterateRejectsOutOfRangeIndex: an index outside the matrix fails the
+// iteration before any machine state changes, so the next valid Iterate is
+// bit-identical — frontier, statistics, clock and telemetry — to the same
+// iteration on a fresh machine.
+func TestIterateRejectsOutOfRangeIndex(t *testing.T) {
+	m := testMatrix(t, 8)
+	for _, vc := range versionConfigs() {
+		t.Run(vc.name, func(t *testing.T) {
+			valid := randomFrontier(m.NumRows, 40, 5)
+			run := func(mach *Machine) ([]FrontierEntry, IterStats) {
+				t.Helper()
+				next, st, err := mach.Iterate(nil, valid, IterateOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return next, st
+			}
+			fresh := buildMachine(t, m, vc.cfg, semiring.PlusTimes{})
+			freshSink := attachSpatial(fresh)
+			wantOut, wantSt := run(fresh)
+
+			mach := buildMachine(t, m, vc.cfg, semiring.PlusTimes{})
+			sink := attachSpatial(mach)
+			for _, bad := range []int32{m.NumRows, -1} {
+				// Valid long and short entries precede the bad one.
+				in := append(append([]FrontierEntry(nil), valid...), FrontierEntry{Index: bad, Value: 1})
+				if _, _, err := mach.Iterate(nil, in, IterateOptions{}); err == nil {
+					t.Fatalf("index %d accepted", bad)
+				}
+			}
+			gotOut, gotSt := run(mach)
+			if !reflect.DeepEqual(gotOut, wantOut) || !reflect.DeepEqual(gotSt, wantSt) {
+				t.Fatal("iteration after a rejected frontier differs from a fresh machine's")
+			}
+			if mach.NowNs() != fresh.NowNs() {
+				t.Fatalf("clock %v after a rejected frontier, fresh machine %v", mach.NowNs(), fresh.NowNs())
+			}
+			if !reflect.DeepEqual(sink, freshSink) {
+				t.Fatal("telemetry after a rejected frontier differs from a fresh machine's")
+			}
+		})
+	}
+}
+
+// TestIterateDstMayShareInput: step 1 consumes the input before step 6
+// appends to dst, so one buffer serving as both gives the same chain as
+// separate buffers, including when a long, unsorted input with duplicates
+// leaves room for the whole output in place. The machine keeps no
+// reference to a returned slice, so the separate-buffer results, held
+// uncopied, are untouched by the later iterations.
+func TestIterateDstMayShareInput(t *testing.T) {
+	m := testMatrix(t, 9)
+	for _, vc := range versionConfigs() {
+		t.Run(vc.name, func(t *testing.T) {
+			start := randomFrontier(m.NumRows, 60, 11)
+			slices.Reverse(start)
+			start = append(start, start[:10]...)
+			chain := func(shared bool) ([][]FrontierEntry, []IterStats) {
+				mach := buildMachine(t, m, vc.cfg, semiring.PlusTimes{})
+				buf := make([]FrontierEntry, len(start), int(m.NumRows))
+				copy(buf, start)
+				var outs [][]FrontierEntry
+				var stats []IterStats
+				for it := 0; it < 3 && len(buf) > 0; it++ {
+					var dst []FrontierEntry
+					if shared {
+						dst = buf[:0]
+					}
+					next, st, err := mach.Iterate(dst, buf, IterateOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if shared && len(next) > 0 && &next[0] != &buf[:1][0] {
+						t.Fatal("shared buffer was reallocated; the test no longer aliases dst and in")
+					}
+					held := next
+					if shared {
+						held = append([]FrontierEntry(nil), next...) // buf is reused next iteration
+					}
+					outs = append(outs, held)
+					stats = append(stats, st)
+					buf = next
+				}
+				return outs, stats
+			}
+			wantOut, wantSt := chain(false)
+			gotOut, gotSt := chain(true)
+			if len(wantOut) < 2 {
+				t.Fatalf("chain ran %d iterations, want at least 2", len(wantOut))
+			}
+			if !reflect.DeepEqual(gotOut, wantOut) || !reflect.DeepEqual(gotSt, wantSt) {
+				t.Fatal("dst sharing in's backing array changed the result")
+			}
+		})
 	}
 }
 
@@ -272,16 +368,14 @@ func TestHybridReducesRemoteAccumulations(t *testing.T) {
 	}
 
 	v1 := buildMachine(t, m, partition.Config{Scheme: partition.ColumnOriented, Placement: partition.Shuffled, Seed: 1}, semiring.PlusTimes{})
-	f1, _ := v1.DistributeFrontier(entries)
-	_, st1, err := v1.Iterate(f1, IterateOptions{})
+	_, st1, err := v1.Iterate(nil, entries, IterateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	cfgV3 := partition.Config{Scheme: partition.Hybrid, Placement: partition.Shuffled, LongFrac: 0.01, Replicate: true, Seed: 1}
 	v3 := buildMachine(t, m, cfgV3, semiring.PlusTimes{})
-	f3, _ := v3.DistributeFrontier(entries)
-	_, st3, err := v3.Iterate(f3, IterateOptions{})
+	_, st3, err := v3.Iterate(nil, entries, IterateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,8 +401,7 @@ func TestStallRoundsWithTinyBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	entries := randomFrontier(m.NumRows, 60, 5)
-	f, _ := mach.DistributeFrontier(entries)
-	_, st, err := mach.Iterate(f, IterateOptions{})
+	_, st, err := mach.Iterate(nil, entries, IterateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,8 +416,7 @@ func TestStepTimesPositiveAndStructured(t *testing.T) {
 	cfg.LongFrac = 0.01
 	mach := buildMachine(t, m, cfg, semiring.PlusTimes{})
 	entries := randomFrontier(m.NumRows, 50, 13)
-	f, _ := mach.DistributeFrontier(entries)
-	_, st, err := mach.Iterate(f, IterateOptions{})
+	_, st, err := mach.Iterate(nil, entries, IterateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,13 +459,12 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 func TestEmptyFrontierIsCheap(t *testing.T) {
 	m := testMatrix(t, 12)
 	mach := buildMachine(t, m, partition.DefaultConfig(), semiring.PlusTimes{})
-	f, _ := mach.DistributeFrontier(nil)
-	next, st, err := mach.Iterate(f, IterateOptions{})
+	next, st, err := mach.Iterate(nil, nil, IterateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if next.NNZ() != 0 {
-		t.Fatalf("empty frontier produced %d outputs", next.NNZ())
+	if len(next) != 0 {
+		t.Fatalf("empty frontier produced %d outputs", len(next))
 	}
 	if st.ProcessedNNZ != 0 {
 		t.Fatalf("empty frontier processed %d nnz", st.ProcessedNNZ)
@@ -421,16 +512,11 @@ func TestQuickAllSchemesMatchReference(t *testing.T) {
 				entries[i].Value = 1
 			}
 		}
-		fr, err := mach.DistributeFrontier(entries)
-		if err != nil {
-			return false
-		}
-		next, _, err := mach.Iterate(fr, IterateOptions{})
+		got, _, err := mach.Iterate(nil, entries, IterateOptions{})
 		if err != nil {
 			return false
 		}
 		want := refSpMSpV(plan.Matrix, sem, entries)
-		got := next.Entries()
 		if len(got) != len(want) {
 			return false
 		}
@@ -455,9 +541,8 @@ func TestEngineTimelineMatchesStepTimes(t *testing.T) {
 		names = append(names, name)
 		times = append(times, at)
 	})
-	f, _ := mach.DistributeFrontier(randomFrontier(m.NumRows, 30, 3))
 	before := mach.NowNs()
-	_, st, err := mach.Iterate(f, IterateOptions{})
+	_, st, err := mach.Iterate(nil, randomFrontier(m.NumRows, 30, 3), IterateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,13 +572,12 @@ func TestClockAccumulatesAcrossIterations(t *testing.T) {
 	entries := []FrontierEntry{{Index: m.NumRows / 3, Value: 1}}
 	var total float64
 	for i := 0; i < 3; i++ {
-		f, _ := mach.DistributeFrontier(entries)
-		next, st, err := mach.Iterate(f, IterateOptions{})
+		next, st, err := mach.Iterate(nil, entries, IterateOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		total += st.TimeNs()
-		entries = next.Entries()
+		entries = next
 		if len(entries) == 0 {
 			break
 		}
@@ -525,15 +609,14 @@ func TestErrorInjectionPerturbsValuesDeterministically(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, _ := mach.DistributeFrontier(entries)
-		next, _, err := mach.Iterate(f, IterateOptions{})
+		next, _, err := mach.Iterate(nil, entries, IterateOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if mach.ErrorsInjected() == 0 {
 			t.Fatal("5% error rate injected nothing")
 		}
-		return next.Entries()
+		return next
 	}
 	a, b := run(), run()
 	if len(a) != len(b) {
@@ -566,13 +649,11 @@ func TestBooleanAlgebraTolerantToBitErrors(t *testing.T) {
 	for i := range entries {
 		entries[i].Value = 1
 	}
-	f, _ := mach.DistributeFrontier(entries)
-	next, _, err := mach.Iterate(f, IterateOptions{})
+	got, _, err := mach.Iterate(nil, entries, IterateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := refSpMSpV(plan.Matrix, semiring.BoolOrAnd{}, entries)
-	got := next.Entries()
 	if len(got) != len(want) {
 		t.Fatalf("reachability changed under bit errors: %d vs %d", len(got), len(want))
 	}
@@ -598,8 +679,7 @@ func TestRefreshStretchesTime(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, _ := mach.DistributeFrontier(entries)
-		_, st, err := mach.Iterate(f, IterateOptions{})
+		_, st, err := mach.Iterate(nil, entries, IterateOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -623,11 +703,7 @@ func TestQuickMoreWorkMoreEvents(t *testing.T) {
 		big := append(append([]FrontierEntry(nil), small...), randomFrontier(m.NumRows, 10, seed+1)...)
 		run := func(entries []FrontierEntry) IterStats {
 			mach := buildMachine(t, m, partition.DefaultConfig(), semiring.PlusTimes{})
-			fr, err := mach.DistributeFrontier(entries)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, st, err := mach.Iterate(fr, IterateOptions{})
+			_, st, err := mach.Iterate(nil, entries, IterateOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -645,8 +721,7 @@ func TestQuickMoreWorkMoreEvents(t *testing.T) {
 func TestBusyStatsPopulated(t *testing.T) {
 	m := testMatrix(t, 20)
 	mach := buildMachine(t, m, partition.DefaultConfig(), semiring.PlusTimes{})
-	f, _ := mach.DistributeFrontier(randomFrontier(m.NumRows, 50, 2))
-	_, st, err := mach.Iterate(f, IterateOptions{})
+	_, st, err := mach.Iterate(nil, randomFrontier(m.NumRows, 50, 2), IterateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

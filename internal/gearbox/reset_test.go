@@ -2,7 +2,6 @@ package gearbox
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"gearbox/internal/partition"
@@ -11,8 +10,7 @@ import (
 )
 
 // chainResult captures everything observable from a chained run, in forms
-// that are comparable across distinct machines (frontiers are flattened to
-// entry lists, so unexported bookkeeping like the run epoch is not compared).
+// that are comparable across distinct machines.
 type chainResult struct {
 	stats     []IterStats
 	frontiers [][]FrontierEntry
@@ -23,7 +21,8 @@ type chainResult struct {
 
 // runChainedObserved drives iters chained iterations (the second with a
 // dense apply, mirroring runChained) with a fresh telemetry sink attached,
-// recycling every frontier so the machine's pool is exercised.
+// feeding each frontier back through one reused buffer that serves as both
+// input and output.
 func runChainedObserved(t *testing.T, mach *Machine, entries []FrontierEntry, iters int) chainResult {
 	t.Helper()
 	sink := telemetry.NewSpatialStats(mach.TelemetryShape())
@@ -34,10 +33,6 @@ func runChainedObserved(t *testing.T, mach *Machine, entries []FrontierEntry, it
 	n := mach.Plan().Matrix.NumRows
 	entries = append([]FrontierEntry(nil), entries...)
 	for i := 0; i < iters; i++ {
-		f, err := mach.DistributeFrontier(entries)
-		if err != nil {
-			t.Fatal(err)
-		}
 		opts := IterateOptions{}
 		if i == 1 {
 			y := make([]float32, n)
@@ -46,17 +41,13 @@ func runChainedObserved(t *testing.T, mach *Machine, entries []FrontierEntry, it
 			}
 			opts.Apply = &ApplySpec{Alpha: 1, Y: y}
 		}
-		next, st, err := mach.Iterate(f, opts)
+		next, st, err := mach.Iterate(entries[:0], entries, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mach.Recycle(f)
 		res.stats = append(res.stats, st)
-		out := next.Entries()
-		mach.Recycle(next)
-		res.frontiers = append(res.frontiers, out)
-		entries = entries[:0]
-		entries = append(entries, out...)
+		res.frontiers = append(res.frontiers, append([]FrontierEntry(nil), next...))
+		entries = next
 		if len(entries) == 0 {
 			break
 		}
@@ -157,91 +148,6 @@ func TestResetForRunSwapsSemiring(t *testing.T) {
 	compareChains(t, "semiring-swap", fresh, reset)
 }
 
-// TestIterateRejectsStaleFrontier: a frontier distributed before ResetForRun
-// must not be iterable afterwards, and recycling it must not poison the
-// pristine pool.
-func TestIterateRejectsStaleFrontier(t *testing.T) {
-	m := testMatrix(t, 34)
-	mach := buildMachine(t, m, partition.DefaultConfig(), semiring.PlusTimes{})
-	stale, err := mach.DistributeFrontier(randomFrontier(m.NumRows, 20, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mach.ResetForRun(nil)
-	if _, _, err := mach.Iterate(stale, IterateOptions{}); err == nil {
-		t.Fatal("Iterate accepted a frontier from before ResetForRun")
-	} else if !strings.Contains(err.Error(), "epoch") {
-		t.Fatalf("unexpected error: %v", err)
-	}
-	poolBefore := len(mach.freeFrontiers)
-	mach.Recycle(stale)
-	if len(mach.freeFrontiers) != poolBefore {
-		t.Fatalf("Recycle admitted a stale frontier into the pool (%d -> %d entries)", poolBefore, len(mach.freeFrontiers))
-	}
-	// The machine still runs normally after the misuse.
-	f, err := mach.DistributeFrontier(randomFrontier(m.NumRows, 20, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := mach.Iterate(f, IterateOptions{}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestIterateRejectsRecycledFrontier: once handed back to the pool, a
-// frontier's buffers belong to the machine; iterating it must error rather
-// than read buffers the pool may already have handed elsewhere.
-func TestIterateRejectsRecycledFrontier(t *testing.T) {
-	m := testMatrix(t, 35)
-	mach := buildMachine(t, m, partition.DefaultConfig(), semiring.PlusTimes{})
-	f, err := mach.DistributeFrontier(randomFrontier(m.NumRows, 20, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mach.Recycle(f)
-	if _, _, err := mach.Iterate(f, IterateOptions{}); err == nil {
-		t.Fatal("Iterate accepted a recycled frontier")
-	} else if !strings.Contains(err.Error(), "recycled") {
-		t.Fatalf("unexpected error: %v", err)
-	}
-}
-
-// TestDistributeFrontierTwiceWithoutRecycle: back-to-back distributions must
-// hand out distinct frontiers (no aliasing), and both must remain usable and
-// recyclable — the pool's double-Recycle guard stays intact throughout.
-func TestDistributeFrontierTwiceWithoutRecycle(t *testing.T) {
-	m := testMatrix(t, 36)
-	mach := buildMachine(t, m, partition.DefaultConfig(), semiring.PlusTimes{})
-	e1 := randomFrontier(m.NumRows, 20, 1)
-	e2 := randomFrontier(m.NumRows, 25, 2)
-	f1, err := mach.DistributeFrontier(e1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2, err := mach.DistributeFrontier(e2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f1 == f2 {
-		t.Fatal("DistributeFrontier returned the same frontier twice without an intervening Recycle")
-	}
-	if got, want := f1.NNZ(), len(e1); got != want {
-		t.Fatalf("first frontier corrupted by second distribution: NNZ %d, want %d", got, want)
-	}
-	if _, _, err := mach.Iterate(f1, IterateOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := mach.Iterate(f2, IterateOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	mach.Recycle(f1)
-	mach.Recycle(f2)
-	mach.Recycle(f1) // double-Recycle stays a no-op
-	if n := len(mach.freeFrontiers); n != 2 {
-		t.Fatalf("pool holds %d frontiers after recycling two distinct ones, want 2", n)
-	}
-}
-
 // TestResetForRunDetachesSubscribers: a reset machine is pristine, so the
 // previous run's trace and telemetry subscribers must not observe the next
 // run (they reattach explicitly, exactly as on a fresh build).
@@ -253,11 +159,7 @@ func TestResetForRunDetachesSubscribers(t *testing.T) {
 	traced := 0
 	mach.SetTrace(func(string, float64) { traced++ })
 
-	f, err := mach.DistributeFrontier(randomFrontier(m.NumRows, 20, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := mach.Iterate(f, IterateOptions{}); err != nil {
+	if _, _, err := mach.Iterate(nil, randomFrontier(m.NumRows, 20, 1), IterateOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if sink.Iterations != 1 || traced == 0 {
@@ -266,11 +168,7 @@ func TestResetForRunDetachesSubscribers(t *testing.T) {
 
 	mach.ResetForRun(nil)
 	tracedBefore := traced
-	f, err = mach.DistributeFrontier(randomFrontier(m.NumRows, 20, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := mach.Iterate(f, IterateOptions{}); err != nil {
+	if _, _, err := mach.Iterate(nil, randomFrontier(m.NumRows, 20, 2), IterateOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if sink.Iterations != 1 {
@@ -291,11 +189,7 @@ func TestResetForRunRearmsClock(t *testing.T) {
 	mach := buildMachine(t, m, partition.DefaultConfig(), semiring.PlusTimes{})
 	run := func(seed int64) float64 {
 		t.Helper()
-		f, err := mach.DistributeFrontier(randomFrontier(m.NumRows, 20, seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := mach.Iterate(f, IterateOptions{}); err != nil {
+		if _, _, err := mach.Iterate(nil, randomFrontier(m.NumRows, 20, seed), IterateOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		return mach.NowNs()

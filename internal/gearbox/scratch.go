@@ -1,11 +1,9 @@
 package gearbox
 
-// Pooled per-iteration scratch and the frontier recycle API. Everything here
-// exists so that steady-state Iterate allocates nothing: the per-destination
-// and per-bank pair counts of steps 3-5, the epoch-stamped slot marks that
-// replaced step 6's per-bank maps, and the pool of Frontier shells that
-// DistributeFrontier and step 6 draw from once applications opt in with
-// Recycle.
+// Pooled per-iteration accounting scratch. Everything here exists so that
+// steady-state Iterate allocates nothing: the per-destination and per-bank
+// pair counts of steps 3-5 and the epoch-stamped slot marks that replaced
+// step 6's per-bank maps.
 
 // foldTally is one destination SPU's step 5 ScatterAccumulate cost, built
 // up pair by pair in receive order.
@@ -50,48 +48,4 @@ func (m *Machine) initScratch() {
 			m.scr.bankSlotMark[bf] = make([]int32, nLong)
 		}
 	}
-}
-
-// Recycle hands a frontier back to the machine's reuse pool. It is the
-// caller's declaration that nothing aliases the frontier's entry slices any
-// more: DistributeFrontier and Iterate will reuse the backing arrays for
-// later frontiers. Recycling nil, a frontier built for another machine, a
-// frontier from before the last ResetForRun, or a frontier already in the
-// pool is a safe no-op (the pooled flag guards double-Recycle, which would
-// otherwise hand the same arrays to two owners; the epoch guard keeps
-// pre-reset stragglers out of the pristine pool). Never recycle a frontier
-// that is an argument of an in-flight Iterate.
-//
-//gearbox:steadystate
-func (m *Machine) Recycle(f *Frontier) {
-	if f == nil || f.pooled || f.epoch != m.runEpoch || len(f.Local) != m.plan.NumSPUs {
-		return
-	}
-	f.Long = f.Long[:0]
-	for k := range f.Local {
-		if f.Local[k] != nil {
-			f.Local[k] = f.Local[k][:0]
-		}
-	}
-	f.pooled = true
-	m.freeFrontiers = append(m.freeFrontiers, f) //gearbox:alloc-ok pool bookkeeping; grows to the number of distinct frontiers
-}
-
-// getFrontier pops a recycled frontier shell, or builds a fresh one. The
-// pooled flag is cleared so frontiers observed outside the machine are never
-// marked (reflect.DeepEqual over frontiers stays meaningful in tests), and
-// the shell is stamped with the current run epoch so it stays usable until
-// the next ResetForRun.
-//
-//gearbox:steadystate
-func (m *Machine) getFrontier() *Frontier {
-	if n := len(m.freeFrontiers); n > 0 {
-		f := m.freeFrontiers[n-1]
-		m.freeFrontiers[n-1] = nil
-		m.freeFrontiers = m.freeFrontiers[:n-1]
-		f.pooled = false
-		f.epoch = m.runEpoch
-		return f
-	}
-	return &Frontier{Local: make([][]FrontierEntry, m.plan.NumSPUs), epoch: m.runEpoch} //gearbox:alloc-ok pool miss: only before the recycle pool reaches steady state
 }

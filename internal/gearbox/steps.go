@@ -24,18 +24,19 @@ import (
 // the same receive and fold sequence on every run. DESIGN.md "Execution
 // model" documents the rules.
 
-// step1FrontierDistribution broadcasts the long-activating frontier entries
-// from the logic layer to all subarrays (§5 Step 1) and, for HypoGearboxV2,
-// the whole input vector.
+// step1FrontierDistribution splits the input frontier by residence and
+// broadcasts the long-activating entries from the logic layer to all
+// subarrays (§5 Step 1) and, for HypoGearboxV2, the whole input vector.
 //
 //gearbox:steadystate
-func (m *Machine) step1FrontierDistribution(f *Frontier, st *IterStats) {
+func (m *Machine) step1FrontierDistribution(in []FrontierEntry, st *IterStats) {
 	m.resetScratch()
 	m.net.Reset()
+	m.distribute(in)
 
-	words := int64(2 * len(f.Long))
+	words := int64(2 * len(m.fLong))
 	if m.hypo {
-		words = int64(2 * f.NNZ())
+		words = int64(2 * len(in))
 	}
 	m.net.BroadcastFromLogic(words)
 
@@ -48,16 +49,54 @@ func (m *Machine) step1FrontierDistribution(f *Frontier, st *IterStats) {
 	s.Events.TSVWords = m.net.TSVWords()
 }
 
+// distribute splits in (validated by Iterate) by residence: long-column
+// activators into fLong, every other entry into its owner SPU's slice of
+// fShort. The split is a stable counting sort, so each SPU's entries and
+// the long list keep the caller's order, which is the order step 3 folds
+// them in.
+//
+//gearbox:steadystate
+func (m *Machine) distribute(in []FrontierEntry) {
+	owners, lastLong, start := m.plan.OwnerOf, m.plan.LastLong, m.fStart
+	clear(start)
+	long := m.fLong[:0]
+	for _, e := range in {
+		if e.Index <= lastLong {
+			long = append(long, e) //gearbox:alloc-ok recycled split buffer; grows to its high-water mark
+		} else {
+			start[owners[e.Index]+1]++
+		}
+	}
+	m.fLong = long
+	for k := 1; k < len(start); k++ {
+		start[k] += start[k-1]
+	}
+	// start[k] is now SPU k's first slot; it serves as the SPU's fill
+	// cursor, which leaves it at SPU k+1's first slot, so one shift
+	// restores the offsets.
+	short := slices.Grow(m.fShort[:0], len(in)-len(long))[:len(in)-len(long)] //gearbox:alloc-ok recycled split buffer; grows to its high-water mark
+	for _, e := range in {
+		if e.Index > lastLong {
+			k := owners[e.Index]
+			short[start[k]] = e
+			start[k]++
+		}
+	}
+	copy(start[1:], start)
+	start[0] = 0
+	m.fShort = short
+}
+
 // step2OffsetPacking packs (column offset, length, frontier value) triples
 // per frontier entry (Fig. 10).
 //
 //gearbox:steadystate
-func (m *Machine) step2OffsetPacking(f *Frontier, st *IterStats) {
+func (m *Machine) step2OffsetPacking(st *IterStats) {
 	s := &st.Steps[1]
 	s.StallRounds = 1
-	long := int64(len(f.Long))
+	long := int64(len(m.fLong))
 	for k := range m.busy {
-		e := int64(len(f.Local[k]))
+		e := int64(m.fStart[k+1] - m.fStart[k])
 		// Owned-column offset lookups walk the shard's offsets array in
 		// sorted order, so activations are bounded by the rows the offsets
 		// span; long entries index the fragment table individually.
@@ -86,8 +125,8 @@ func (m *Machine) step2OffsetPacking(f *Frontier, st *IterStats) {
 // 32- or 16-bit index array or from LongEntries.
 //
 //gearbox:steadystate
-func (m *Machine) step3SPU(f *Frontier, k int, st *IterStats, ev *Events) {
-	cols, items := f.Local[k], m.longWork[k]
+func (m *Machine) step3SPU(k int, st *IterStats, ev *Events) {
+	cols, items := m.fShort[m.fStart[k]:m.fStart[k+1]], m.longWork[k]
 	if len(cols) == 0 && len(items) == 0 {
 		// Idle this iteration, as most SPUs are on a sparse frontier.
 		m.busy[k] = 0
@@ -254,16 +293,12 @@ type longItem struct {
 // buildLongWork turns the frontier's long part, in its given order, into
 // the per-SPU worklists step3SPU walks. Only the pieces of activated
 // columns are visited, so the cost is O(activated pieces), not
-// O(|f.Long| x NumSPUs). Duplicate and unsorted activations keep their
-// order, so each SPU folds exactly the sequence the per-column walk did. An
-// index outside the long region activates nothing.
+// O(|fLong| x NumSPUs). Duplicate and unsorted activations keep their
+// order, so each SPU folds exactly the sequence the per-column walk did.
 //
 //gearbox:steadystate
-func (m *Machine) buildLongWork(f *Frontier) {
-	for _, fe := range f.Long {
-		if fe.Index < 0 || fe.Index > m.plan.LastLong {
-			continue
-		}
+func (m *Machine) buildLongWork() {
+	for _, fe := range m.fLong {
 		for _, pc := range m.plan.LongPiecesOf(fe.Index) {
 			m.longWork[pc.SPU] = append(m.longWork[pc.SPU], longItem{lo: pc.Lo, hi: pc.Hi, val: fe.Value}) //gearbox:alloc-ok recycled worklist; grows to its high-water mark
 		}
@@ -281,7 +316,7 @@ func (m *Machine) buildLongWork(f *Frontier) {
 // destinations; the dispatcher stream waits for step 5.
 //
 //gearbox:steadystate
-func (m *Machine) step3LocalAccumulations(f *Frontier, st *IterStats) {
+func (m *Machine) step3LocalAccumulations(st *IterStats) {
 	m.net.Reset()
 
 	s := &st.Steps[2]
@@ -292,9 +327,9 @@ func (m *Machine) step3LocalAccumulations(f *Frontier, st *IterStats) {
 	logicPairsPerVault := scr.logicPairsPerVault
 	clear(logicPairsPerVault)
 	var ev Events
-	m.buildLongWork(f)
+	m.buildLongWork()
 	for k := 0; k < m.plan.NumSPUs; k++ {
-		m.step3SPU(f, k, st, &ev)
+		m.step3SPU(k, st, &ev)
 	}
 	recvPerBank := scr.recvPerBank
 	clear(recvPerBank)
@@ -330,7 +365,7 @@ func (m *Machine) step3LocalAccumulations(f *Frontier, st *IterStats) {
 	}
 
 	// Counted while routing: each long activation processed one fragment set.
-	st.ActivatedColumns += int64(len(f.Long))
+	st.ActivatedColumns += int64(len(m.fLong))
 
 	// Receiving dispatchers buffer pairs concurrently with compute, one
 	// Walker row (WordsPerRow/2 pairs) at a time.
@@ -475,19 +510,17 @@ func (m *Machine) step5RemoteAccumulations(st *IterStats) {
 	s.TimeNs = m.cfg.Tim.LaunchNs + maxOf(m.busy)*m.refreshFactor()
 }
 
-// step6Emit is the frontier emission: one ascending walk of the dirty
-// bitmap emits every non-clean slot into its owner's bucket of next, resets
-// it to clean, and clears the bitmap as it goes. The ranges tile the short
+// step6Emit is the short part of the frontier emission: one ascending walk
+// of the dirty bitmap appends every non-clean short slot to dst, resets it
+// to clean, and clears the bitmap as it goes. The ranges tile the short
 // region contiguously in ascending SPU order, so the walk switches SPU at
-// Ranges[k].Last and each bucket comes out sorted and deduped. Buckets come
-// from a recycled frontier, so steady-state emission reuses the caller's
-// returned-and-recycled arrays.
+// Ranges[k].Last, charges each SPU for its own run of entries, and the
+// appended entries come out sorted and deduped.
 //
 //gearbox:steadystate
-func (m *Machine) step6Emit(next *Frontier, st *IterStats, ev *Events) {
+func (m *Machine) step6Emit(dst []FrontierEntry, st *IterStats, ev *Events) []FrontierEntry {
 	ranges, dirty, out := m.plan.Ranges, m.dirtyBits, m.output
-	k := -1
-	var entries []FrontierEntry
+	k, from := -1, len(dst)
 	var lastRow, randActs int64
 	for w := int(m.plan.LastLong+1) >> 6; w < len(dirty); w++ {
 		word := dirty[w]
@@ -502,12 +535,12 @@ func (m *Machine) step6Emit(next *Frontier, st *IterStats, ev *Events) {
 				continue // accumulated back to the clean value
 			}
 			if k < 0 || idx > ranges[k].Last {
-				m.emitDone(k, next, entries, randActs, st, ev)
+				m.emitDone(k, int64(len(dst)-from), randActs, st, ev)
 				for k++; idx > ranges[k].Last; k++ {
 				}
-				entries, lastRow, randActs = next.Local[k][:0], -1, 0
+				from, lastRow, randActs = len(dst), -1, 0
 			}
-			entries = append(entries, FrontierEntry{Index: idx, Value: v}) //gearbox:alloc-ok recycled frontier bucket; grows to its high-water mark
+			dst = append(dst, FrontierEntry{Index: idx, Value: v}) //gearbox:alloc-ok caller-owned buffer; grows to its high-water mark
 			out[idx] = m.clean
 			if row := int64(idx) >> 6; row != lastRow {
 				randActs++
@@ -515,19 +548,18 @@ func (m *Machine) step6Emit(next *Frontier, st *IterStats, ev *Events) {
 			}
 		}
 	}
-	m.emitDone(k, next, entries, randActs, st, ev)
+	m.emitDone(k, int64(len(dst)-from), randActs, st, ev)
+	return dst
 }
 
-// emitDone hands SPU k its emitted entries and charges the emission; k < 0
-// (nothing emitted yet) is a no-op.
+// emitDone charges SPU k for emitting n entries; k < 0 (nothing emitted
+// yet) is a no-op.
 //
 //gearbox:steadystate
-func (m *Machine) emitDone(k int, next *Frontier, entries []FrontierEntry, randActs int64, st *IterStats, ev *Events) {
+func (m *Machine) emitDone(k int, n, randActs int64, st *IterStats, ev *Events) {
 	if k < 0 {
 		return
 	}
-	next.Local[k] = entries
-	n := int64(len(entries))
 	m.busy[k] += float64(n*m.instrCosts.frontierEmit)*m.cyc + float64(randActs)*m.stallNs(m.instrCosts.frontierEmit)
 	ev.SPUInstrs += n * m.instrCosts.frontierEmit
 	ev.RandRowActs += randActs
@@ -619,13 +651,14 @@ func (m *Machine) step6Reduce(ev *Events, logicPerVault []float64) {
 }
 
 // step6Applying reduces the replicated long regions in the logic layer
-// (V3), performs the optional Applying op, emits the next frontier from the
-// newly non-clean slots, and resets the output vector to clean indicators
-// (§5 Step 6). The reduction retires before the apply, which folds into the
-// same logic accumulator.
+// (V3), performs the optional Applying op, appends the next frontier from
+// the newly non-clean slots to dst (long part first, so the whole is
+// ascending), and resets the output vector to clean indicators (§5 Step
+// 6). The reduction retires before the apply, which folds into the same
+// logic accumulator.
 //
 //gearbox:steadystate
-func (m *Machine) step6Applying(apply *ApplySpec, st *IterStats) *Frontier {
+func (m *Machine) step6Applying(dst []FrontierEntry, apply *ApplySpec, st *IterStats) []FrontierEntry {
 	m.net.Reset()
 	s := &st.Steps[5]
 	s.StallRounds = 1
@@ -653,11 +686,11 @@ func (m *Machine) step6Applying(apply *ApplySpec, st *IterStats) *Frontier {
 		clear(m.busy)
 	}
 
-	// Emit the next frontier and reset output slots to clean.
-	next := m.getFrontier()
-	m.step6Emit(next, st, ev)
-	// Long outputs become next-iteration logic-layer frontier entries.
+	// Emit the next frontier and reset output slots to clean. Long outputs
+	// become next-iteration logic-layer frontier entries; they precede
+	// every short index.
 	if len(m.logicDirty) > 0 {
+		from := len(dst)
 		slices.Sort(m.logicDirty)
 		for i, r := range m.logicDirty {
 			if i > 0 && m.logicDirty[i-1] == r {
@@ -667,13 +700,14 @@ func (m *Machine) step6Applying(apply *ApplySpec, st *IterStats) *Frontier {
 			if m.isZero(v) {
 				continue
 			}
-			next.Long = append(next.Long, FrontierEntry{Index: r, Value: v}) //gearbox:alloc-ok recycled frontier buffer; grows to its high-water mark
+			dst = append(dst, FrontierEntry{Index: r, Value: v}) //gearbox:alloc-ok caller-owned buffer; grows to its high-water mark
 			m.logicAcc[r] = m.clean
 			ev.LogicOps += 2
 		}
-		st.FrontierOut += int64(len(next.Long))
+		st.FrontierOut += int64(len(dst) - from)
 		m.logicDirty = m.logicDirty[:0]
 	}
+	dst = m.step6Emit(dst, st, ev)
 
 	t := maxOf(m.busy)
 	if lb := maxOf(logicPerVault); lb > t {
@@ -685,7 +719,7 @@ func (m *Machine) step6Applying(apply *ApplySpec, st *IterStats) *Frontier {
 	ev.NetHopWords += m.net.HopWords()
 	ev.TSVWords += m.net.TSVWords()
 	s.TimeNs = m.cfg.Tim.LaunchNs + t*m.refreshFactor()
-	return next
+	return dst
 }
 
 // bankFlat flattens a bank coordinate for per-bank accounting arrays.

@@ -181,21 +181,14 @@ func (d *Device) Iterate(entries []gearbox.FrontierEntry) ([]gearbox.FrontierEnt
 		for i, e := range perStack[s] {
 			local[i] = gearbox.FrontierEntry{Index: plan.Perm.New[e.Index], Value: e.Value}
 		}
-		f, err := mach.DistributeFrontier(local)
+		outs, is, err := mach.Iterate(local[:0], local, gearbox.IterateOptions{})
 		if err != nil {
 			return nil, st, err
 		}
-		next, is, err := mach.Iterate(f, gearbox.IterateOptions{})
-		if err != nil {
-			return nil, st, err
-		}
-		mach.Recycle(f)
 		st.PerStack[s] = is
 		if t := is.TimeNs(); t > st.StackTimeNs {
 			st.StackTimeNs = t
 		}
-		outs := next.Entries()
-		mach.Recycle(next)
 		reduceBytes += float64(8 * len(outs))
 		for _, e := range outs {
 			orig := plan.Perm.Old[e.Index]
