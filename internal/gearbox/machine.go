@@ -135,7 +135,15 @@ type Machine struct {
 	hypo      bool    // HypoLogicLayer scheme
 	replicate bool    // V3 replicated long region
 	cyc       float64 // SPU cycle time in ns
-	bankOf    []int32 // flat bank id per compute-SPU index
+	refresh   float64 // DRAM refresh stretch of busy time (refreshFactor)
+	rowWords  int64   // words per Walker row
+	// Per compute SPU: its flat bank id and line position, which are its
+	// network endpoint (the bank's Dispatcher is the line's last
+	// position), and step 2's bound on the offset rows its frontier
+	// lookups activate, Ranges[k].Len()/WordsPerRow + 1.
+	bankOf   []int32
+	linePos  []int32
+	packSpan []int32
 
 	instrCosts costs
 
@@ -149,7 +157,8 @@ type Machine struct {
 }
 
 // costs bundles the per-entry instruction counts pinned to the fulcrum
-// interpreter kernels.
+// interpreter kernels, and the row-activation stall each step's kernel
+// leaves unhidden (stallNs of its per-entry instruction count).
 type costs struct {
 	packInstrs       int64 // Step 2, per frontier entry (Fig. 10)
 	macLocal         int64 // Step 3, local accumulation (ColumnMAC)
@@ -160,10 +169,13 @@ type costs struct {
 	frontierEmit     int64 // Step 6, per dirty slot (read+emit+reset)
 	applyPerWord     int64 // Step 6, streaming apply (StreamApply)
 	logicOpNsPerPair float64
+
+	packStallNs, macStallNs, foldStallNs, emitStallNs float64
 }
 
-func defaultCosts(t mem.Timing) costs {
-	return costs{
+func newCosts(cfg Config) costs {
+	t := cfg.Tim
+	c := costs{
 		packInstrs: fulcrum.OffsetPackingInstrs,
 		macLocal:   fulcrum.ColumnMACLocalInstrs,
 		macRemote:  fulcrum.ColumnMACRemoteInstrs,
@@ -180,6 +192,11 @@ func defaultCosts(t mem.Timing) costs {
 		// accesses plus a few core cycles.
 		logicOpNsPerPair: 6 * t.LogicSRAMNs,
 	}
+	c.packStallNs = stallNs(cfg, c.packInstrs)
+	c.macStallNs = stallNs(cfg, c.macLocal)
+	c.foldStallNs = stallNs(cfg, c.scatterLocal+c.cleanAppend)
+	c.emitStallNs = stallNs(cfg, c.frontierEmit)
+	return c
 }
 
 // New builds a machine for a plan. The semiring's Zero is the clean value.
@@ -223,14 +240,21 @@ func New(plan *partition.Plan, sem semiring.Semiring, cfg Config) (*Machine, err
 		hypo:       plan.Cfg.Scheme == partition.HypoLogicLayer,
 		replicate:  plan.Cfg.Replicate,
 		cyc:        cfg.Tim.SPUCycleNs(),
-		instrCosts: defaultCosts(cfg.Tim),
+		refresh:    refreshFactor(cfg),
+		rowWords:   int64(cfg.Geo.WordsPerRow()),
+		instrCosts: newCosts(cfg),
 	}
 	for i := range m.output {
 		m.output[i] = m.clean
 	}
 	m.bankOf = make([]int32, plan.NumSPUs)
+	m.linePos = make([]int32, plan.NumSPUs)
+	m.packSpan = make([]int32, plan.NumSPUs)
 	for k := range m.bankOf {
-		m.bankOf[k] = bankFlat(cfg.Geo, plan.SPUIDOf(k))
+		id := plan.SPUIDOf(k)
+		m.bankOf[k] = int32(id.Layer*cfg.Geo.BanksPerLayer + id.Bank)
+		m.linePos[k] = int32(id.SPU)
+		m.packSpan[k] = plan.Ranges[k].Len()/int32(cfg.Geo.WordsPerRow()) + 1
 	}
 	m.errStates = make([]uint64, plan.NumSPUs)
 	m.errCounts = make([]int64, plan.NumSPUs)
@@ -483,12 +507,12 @@ func (m *Machine) NowNs() float64 { return m.nowNs }
 // the returned frontier.
 func (m *Machine) Output() []float32 { return append([]float32(nil), m.output...) }
 
-// resetScratch prepares per-iteration buffers.
+// resetScratch prepares per-iteration buffers. busy needs no reset: step 2
+// writes every entry.
 //
 //gearbox:steadystate
 func (m *Machine) resetScratch() {
-	for k := range m.busy {
-		m.busy[k] = 0
+	for k := range m.dirtyLong {
 		m.dirtyLong[k] = m.dirtyLong[k][:0]
 		m.longWork[k] = m.longWork[k][:0]
 	}
@@ -501,11 +525,11 @@ func (m *Machine) resetScratch() {
 // the Walkers double-buffer row loads behind the 1.2 GHz sub-clock (§4.1,
 // "we overlap loading a new row into the Walker and shifting"), so only the
 // remainder of the 50 ns row cycle stalls the pipeline.
-func (m *Machine) stallNs(instrPerEntry int64) float64 {
-	if m.cfg.DisableOverlap {
-		return m.cfg.Tim.RowCycleNs
+func stallNs(cfg Config, instrPerEntry int64) float64 {
+	if cfg.DisableOverlap {
+		return cfg.Tim.RowCycleNs
 	}
-	s := m.cfg.Tim.RowCycleNs - float64(instrPerEntry)*m.cfg.Tim.SPUCycleNs()
+	s := cfg.Tim.RowCycleNs - float64(instrPerEntry)*cfg.Tim.SPUCycleNs()
 	if s < 0 {
 		return 0
 	}
@@ -513,11 +537,11 @@ func (m *Machine) stallNs(instrPerEntry int64) float64 {
 }
 
 // refreshFactor stretches busy time for the DRAM refresh tax.
-func (m *Machine) refreshFactor() float64 {
-	if !m.cfg.ModelRefresh || m.cfg.TREFINs <= m.cfg.TRFCNs || m.cfg.TREFINs <= 0 {
+func refreshFactor(cfg Config) float64 {
+	if !cfg.ModelRefresh || cfg.TREFINs <= cfg.TRFCNs || cfg.TREFINs <= 0 {
 		return 1
 	}
-	return 1 / (1 - m.cfg.TRFCNs/m.cfg.TREFINs)
+	return 1 / (1 - cfg.TRFCNs/cfg.TREFINs)
 }
 
 // errStreamSeed derives SPU k's splitmix64 stream state from the machine
@@ -593,14 +617,23 @@ func maxOf(xs []float64) float64 {
 	return mx
 }
 
-// busyStats fills a step's per-SPU busy distribution from m.busy.
+// busyStats fills a step's per-SPU busy distribution from m.busy in one
+// pass and returns the maximum. Every busy time is >= +0 and x + 0 == x,
+// so skipping the idle SPUs leaves the sum bit for bit.
 //
 //gearbox:steadystate
-func (m *Machine) busyStats(s *StepStats) {
-	sum := 0.0
+func (m *Machine) busyStats(s *StepStats) float64 {
+	sum, mx := 0.0, 0.0
 	for _, b := range m.busy {
+		if b == 0 {
+			continue
+		}
 		sum += b
+		if b > mx {
+			mx = b
+		}
 	}
-	s.BusyMaxNs = maxOf(m.busy)
+	s.BusyMaxNs = mx
 	s.BusyMeanNs = sum / float64(len(m.busy))
+	return mx
 }

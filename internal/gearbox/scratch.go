@@ -6,7 +6,8 @@ package gearbox
 // step 6's per-bank maps.
 
 // foldTally is one destination SPU's step 5 ScatterAccumulate cost, built
-// up pair by pair in receive order.
+// up pair by pair in receive order. Outside step 5 every tally is clean:
+// zero counts and lastRow -1.
 type foldTally struct {
 	instr, randActs, lastRow int64
 }
@@ -42,6 +43,9 @@ func (m *Machine) initScratch() {
 		logicPerVault:      make([]float64, m.cfg.Geo.Vaults),
 		bankSlotMark:       make([][]int32, banks),
 		bankSlotCount:      make([]int64, banks),
+	}
+	for d := range m.scr.fold {
+		m.scr.fold[d].lastRow = -1
 	}
 	if nLong := int(m.plan.LastLong) + 1; m.replicate && nLong > 0 {
 		for bf := range m.scr.bankSlotMark {

@@ -95,20 +95,23 @@ func (m *Machine) step2OffsetPacking(st *IterStats) {
 	s := &st.Steps[1]
 	s.StallRounds = 1
 	long := int64(len(m.fLong))
-	for k := range m.busy {
-		e := int64(m.fStart[k+1] - m.fStart[k])
+	pack, stall := m.instrCosts.packInstrs, m.instrCosts.packStallNs
+	busy, start := m.busy, m.fStart
+	var instrs, acts int64
+	for k, span := range m.packSpan {
+		e := int64(start[k+1] - start[k])
 		// Owned-column offset lookups walk the shard's offsets array in
 		// sorted order, so activations are bounded by the rows the offsets
 		// span; long entries index the fragment table individually.
-		span := int64(m.plan.Ranges[k].Len())/int64(m.cfg.Geo.WordsPerRow()) + 1
-		a := min(e, span) + long
-		i := (e + long) * m.instrCosts.packInstrs
-		m.busy[k] = float64(i)*m.cyc + float64(a)*m.stallNs(m.instrCosts.packInstrs)
-		s.Events.SPUInstrs += i
-		s.Events.RandRowActs += a
+		a := min(e, int64(span)) + long
+		i := (e + long) * pack
+		busy[k] = float64(i)*m.cyc + float64(a)*stall
+		instrs += i
+		acts += a
 	}
-	m.busyStats(s)
-	s.TimeNs = m.cfg.Tim.LaunchNs + maxOf(m.busy)*m.refreshFactor()
+	s.Events.SPUInstrs += instrs
+	s.Events.RandRowActs += acts
+	s.TimeNs = m.cfg.Tim.LaunchNs + m.busyStats(s)*m.refresh
 }
 
 // step3SPU is SPU k's share of step 3: stream the activated columns and
@@ -127,21 +130,13 @@ func (m *Machine) step2OffsetPacking(st *IterStats) {
 //gearbox:steadystate
 func (m *Machine) step3SPU(k int, st *IterStats, ev *Events) {
 	cols, items := m.fShort[m.fStart[k]:m.fStart[k+1]], m.longWork[k]
-	if len(cols) == 0 && len(items) == 0 {
-		// Idle this iteration, as most SPUs are on a sparse frontier.
-		m.busy[k] = 0
-		if m.tel != nil {
-			m.telLocal[k], m.telRemote[k], m.telLng[k] = 0, 0, 0
-		}
-		return
-	}
 	k32 := int32(k)
 	owners, out, recv := m.plan.OwnerOf, m.output, m.scr.recv
 	lastLong, hypo := m.plan.LastLong, m.hypo
 	replicate := m.replicate && lastLong >= 0 && !hypo
 	inject := m.cfg.BitErrorRate > 0
 	macLocal, macRemote := m.instrCosts.macLocal, m.instrCosts.macRemote
-	rowWords := int64(m.cfg.Geo.WordsPerRow())
+	rowWords := m.rowWords
 	dk, dv := m.dispKey, m.dispVal
 	li, lv := m.logicIdx, m.logicVal
 	var rep []float32 // SPU k's replica, fetched on first use
@@ -252,7 +247,7 @@ func (m *Machine) step3SPU(k int, st *IterStats, ev *Events) {
 	m.dispKey, m.dispVal = dk, dv
 	m.logicIdx, m.logicVal = li, lv
 
-	m.busy[k] = float64(instr)*m.cyc + float64(randActs)*m.stallNs(macLocal)
+	m.busy[k] = float64(instr)*m.cyc + float64(randActs)*m.instrCosts.macStallNs
 	ev.SPUInstrs += instr
 	ev.RandRowActs += randActs
 	ev.SeqRowActs += seqActs
@@ -268,14 +263,9 @@ func (m *Machine) step3SPU(k int, st *IterStats, ev *Events) {
 		m.telLng[k] = lonA
 	}
 
-	if sent == 0 && logic == 0 {
-		return
-	}
-	srcID := m.plan.SPUIDOf(k)
-	if sent > 0 {
-		m.net.SendSPUToSPU(srcID, m.plan.DispatcherOf(k), sent)
-	}
+	m.net.SendLine(int(m.bankOf[k]), int(m.linePos[k]), sent)
 	if logic > 0 {
+		srcID := m.plan.SPUIDOf(k)
 		m.net.SendToLogic(srcID, logic)
 		ev.LogicOps += 2 * logic
 		m.scr.logicPairsPerVault[m.cfg.Geo.VaultOf(srcID.Bank)] += logic
@@ -329,6 +319,14 @@ func (m *Machine) step3LocalAccumulations(st *IterStats) {
 	var ev Events
 	m.buildLongWork()
 	for k := 0; k < m.plan.NumSPUs; k++ {
+		if m.fStart[k] == m.fStart[k+1] && len(m.longWork[k]) == 0 {
+			// Idle this iteration, as most SPUs are on a sparse frontier.
+			m.busy[k] = 0
+			if m.tel != nil {
+				m.telLocal[k], m.telRemote[k], m.telLng[k] = 0, 0, 0
+			}
+			continue
+		}
 		m.step3SPU(k, st, &ev)
 	}
 	recvPerBank := scr.recvPerBank
@@ -369,7 +367,7 @@ func (m *Machine) step3LocalAccumulations(st *IterStats) {
 
 	// Receiving dispatchers buffer pairs concurrently with compute, one
 	// Walker row (WordsPerRow/2 pairs) at a time.
-	pairsPerRow := int64(m.cfg.Geo.WordsPerRow() / 2)
+	pairsPerRow := m.rowWords / 2
 	dispBusy := 0.0
 	var dispInstrs int64
 	for _, n := range recvPerBank {
@@ -382,15 +380,13 @@ func (m *Machine) step3LocalAccumulations(st *IterStats) {
 	}
 	ev.DispatchInstrs += dispInstrs
 
-	m.busyStats(s)
+	t := m.busyStats(s)
 	logicBusy := 0.0
 	for _, n := range logicPairsPerVault {
 		if b := float64(n) * m.instrCosts.logicOpNsPerPair; b > logicBusy {
 			logicBusy = b
 		}
 	}
-	busy := maxOf(m.busy)
-	t := busy
 	if dispBusy > t {
 		t = dispBusy
 	}
@@ -403,7 +399,7 @@ func (m *Machine) step3LocalAccumulations(st *IterStats) {
 	ev.NetHopWords += m.net.HopWords()
 	ev.TSVWords += m.net.TSVWords()
 
-	s.TimeNs = m.cfg.Tim.LaunchNs + t*m.refreshFactor()
+	s.TimeNs = m.cfg.Tim.LaunchNs + t*m.refresh
 	s.Events = ev
 }
 
@@ -422,9 +418,9 @@ func (m *Machine) step4Dispatching(st *IterStats) {
 		if n == 0 {
 			continue
 		}
-		m.net.SendSPUToSPU(m.plan.DispatcherOf(k), m.plan.SPUIDOf(k), n)
+		m.net.SendLine(int(m.bankOf[k]), int(m.linePos[k]), n)
 	}
-	pairsPerRow := int64(m.cfg.Geo.WordsPerRow() / 2)
+	pairsPerRow := m.rowWords / 2
 	dispBusy := 0.0
 	rounds := 1
 	for _, n := range m.scr.recvPerBank {
@@ -446,7 +442,7 @@ func (m *Machine) step4Dispatching(st *IterStats) {
 		t = d
 	}
 	s.StallRounds = rounds
-	s.TimeNs = m.cfg.Tim.LaunchNs + t*m.refreshFactor() + float64(rounds-1)*2*m.cfg.Tim.LaunchNs
+	s.TimeNs = m.cfg.Tim.LaunchNs + t*m.refresh + float64(rounds-1)*2*m.cfg.Tim.LaunchNs
 	s.Events = ev
 }
 
@@ -456,18 +452,46 @@ func (m *Machine) step4Dispatching(st *IterStats) {
 // 3's dispatcher stream, which is in (ascending source SPU, emission
 // order), gives every destination its pairs in that order.
 //
+// Each destination's tally starts clean (lastRow -1) and is reset when its
+// busy time is read, so only destinations that received pairs are touched.
+//
 //gearbox:steadystate
 func (m *Machine) step5RemoteAccumulations(st *IterStats) {
 	s := &st.Steps[4]
 	s.StallRounds = 1
 	ev := &s.Events
 	fold := m.scr.fold
-	for d := range fold {
-		fold[d] = foldTally{lastRow: -1}
-	}
-	out, vals := m.output, m.dispVal
-	scatter, cleanAppend := m.instrCosts.scatterLocal, m.instrCosts.cleanAppend
 	var aluOps, cleanHits int64
+	if m.op >= opMinPlus {
+		aluOps, cleanHits = m.step5FoldMin()
+	} else {
+		aluOps, cleanHits = m.step5Fold()
+	}
+	ev.ALUOps += aluOps
+	st.CleanHits += cleanHits
+	stall, rowWords := m.instrCosts.foldStallNs, m.rowWords
+	for d, n := range m.scr.recv {
+		if n == 0 {
+			m.busy[d] = 0
+			continue
+		}
+		t := fold[d]
+		fold[d] = foldTally{lastRow: -1}
+		m.busy[d] = float64(t.instr)*m.cyc + float64(t.randActs)*stall
+		ev.SPUInstrs += t.instr
+		ev.RandRowActs += t.randActs
+		ev.SeqRowActs += 2*n/rowWords + 1
+	}
+	s.TimeNs = m.cfg.Tim.LaunchNs + m.busyStats(s)*m.refresh
+}
+
+// step5Fold is step 5's walk of the dispatcher stream for any algebra. It
+// returns the ALU ops and clean hits of the walk.
+//
+//gearbox:steadystate
+func (m *Machine) step5Fold() (aluOps, cleanHits int64) {
+	fold, out, vals := m.scr.fold, m.output, m.dispVal
+	scatter, cleanAppend := m.instrCosts.scatterLocal, m.instrCosts.cleanAppend
 	for i, key := range m.dispKey {
 		d, enc := int32(key>>32), int32(uint32(key))
 		t := &fold[d]
@@ -491,23 +515,58 @@ func (m *Machine) step5RemoteAccumulations(st *IterStats) {
 			t.lastRow = row
 		}
 	}
-	ev.ALUOps += aluOps
-	st.CleanHits += cleanHits
-	stall := m.stallNs(m.instrCosts.scatterLocal + m.instrCosts.cleanAppend)
-	rowWords := int64(m.cfg.Geo.WordsPerRow())
-	for d, n := range m.scr.recv {
-		if n == 0 {
-			m.busy[d] = 0
+	return aluOps, cleanHits
+}
+
+// step5FoldMin is step5Fold for the min algebras (min-plus, min-first),
+// with the data-dependent branches of a sparse frontier taken out of the
+// remote pair's body. It marks the slot dirty whether or not it was clean,
+// which emits nothing extra: step 6 skips slots that end clean, and a slot
+// already non-clean was marked when it turned so (by step 3's logic-layer
+// fold or earlier in this walk) or has its clean-indicator pair in this
+// stream. The clean hit and the row change count as 0/1 values, and the
+// fold is add's compare-select. Plus-times keeps step5Fold: this body
+// measured slower on its dense frontiers.
+//
+//gearbox:steadystate
+func (m *Machine) step5FoldMin() (aluOps, cleanHits int64) {
+	fold, out, vals, clean := m.scr.fold, m.output, m.dispVal, m.clean
+	scatter, cleanAppend := m.instrCosts.scatterLocal, m.instrCosts.cleanAppend
+	for i, key := range m.dispKey {
+		d, enc := int32(key>>32), int32(uint32(key))
+		t := &fold[d]
+		if enc < 0 {
+			// Clean indicator: the row arrives bit-complemented.
+			m.markDirty(^enc)
+			t.instr += cleanAppend
 			continue
 		}
-		t := fold[d]
-		m.busy[d] = float64(t.instr)*m.cyc + float64(t.randActs)*stall
-		ev.SPUInstrs += t.instr
-		ev.RandRowActs += t.randActs
-		ev.SeqRowActs += 2*n/rowWords + 1
+		old, v := out[enc], vals[i]
+		hit := b2i(old == clean)
+		row := int64(enc) >> 6
+		m.markDirty(enc)
+		t.instr += scatter + hit*cleanAppend
+		t.randActs += b2i(row != t.lastRow)
+		t.lastRow = row
+		cleanHits += hit
+		aluOps++
+		if old < v {
+			v = old
+		}
+		out[enc] = v
 	}
-	m.busyStats(s)
-	s.TimeNs = m.cfg.Tim.LaunchNs + maxOf(m.busy)*m.refreshFactor()
+	return aluOps, cleanHits
+}
+
+// b2i is 1 for true and 0 for false, without a branch.
+//
+//gearbox:steadystate
+func b2i(b bool) int64 {
+	var i int64
+	if b {
+		i = 1
+	}
+	return i
 }
 
 // step6Emit is the short part of the frontier emission: one ascending walk
@@ -560,7 +619,7 @@ func (m *Machine) emitDone(k int, n, randActs int64, st *IterStats, ev *Events) 
 	if k < 0 {
 		return
 	}
-	m.busy[k] += float64(n*m.instrCosts.frontierEmit)*m.cyc + float64(randActs)*m.stallNs(m.instrCosts.frontierEmit)
+	m.busy[k] += float64(n*m.instrCosts.frontierEmit)*m.cyc + float64(randActs)*m.instrCosts.emitStallNs
 	ev.SPUInstrs += n * m.instrCosts.frontierEmit
 	ev.RandRowActs += randActs
 	st.FrontierOut += n
@@ -587,7 +646,7 @@ func (m *Machine) step6Apply(k int, apply *ApplySpec, ev *Events) {
 	m.busy[k] = float64(words*m.instrCosts.applyPerWord) * m.cyc
 	ev.SPUInstrs += words * m.instrCosts.applyPerWord
 	ev.ALUOps += 2 * words
-	ev.SeqRowActs += 2*words/int64(m.cfg.Geo.WordsPerRow()) + 1
+	ev.SeqRowActs += 2*words/m.rowWords + 1
 }
 
 // step6Reduce is the V3 replica reduction (Fig. 7b). It is hierarchical:
@@ -633,10 +692,10 @@ func (m *Machine) step6Reduce(ev *Events, logicPerVault []float64) {
 		}
 		// Line traffic SPU -> Dispatcher.
 		n := int64(len(dl))
-		m.net.SendSPUToSPU(m.plan.SPUIDOf(k), m.plan.DispatcherOf(k), n)
+		m.net.SendLine(int(bf), int(m.linePos[k]), n)
 		ev.SPUInstrs += n * 2 // read replica slot + send
 	}
-	pairsPerRow := int64(m.cfg.Geo.WordsPerRow() / 2)
+	pairsPerRow := m.rowWords / 2
 	for bf, n := range scr.bankSlotCount {
 		if n == 0 {
 			continue
@@ -718,11 +777,6 @@ func (m *Machine) step6Applying(dst []FrontierEntry, apply *ApplySpec, st *IterS
 	}
 	ev.NetHopWords += m.net.HopWords()
 	ev.TSVWords += m.net.TSVWords()
-	s.TimeNs = m.cfg.Tim.LaunchNs + t*m.refreshFactor()
+	s.TimeNs = m.cfg.Tim.LaunchNs + t*m.refresh
 	return dst
-}
-
-// bankFlat flattens a bank coordinate for per-bank accounting arrays.
-func bankFlat(g mem.Geometry, id mem.SPUID) int32 {
-	return int32(id.Layer*g.BanksPerLayer + id.Bank)
 }

@@ -8,6 +8,13 @@
 // on its route for its serialization time (64 lanes at 1.2 GHz); DrainNs
 // reports the busiest link's total occupancy, which is the time the network
 // needs to deliver everything routed since the last Reset.
+//
+// Every line leg starts or ends at the bank's Dispatcher (§4.3: packets
+// leave and enter a bank through it), so every leg crosses the line segment
+// next to the Dispatcher. Charges are non-negative and float addition is
+// monotone, so no segment of a line is ever busier than that one: a line's
+// occupancy is one number, the Dispatcher-adjacent segment's, and DrainNs
+// is the same as with a per-segment count.
 package interconnect
 
 import (
@@ -25,13 +32,14 @@ const PairBits = 64
 
 // Network accumulates routed traffic and link occupancy.
 type Network struct {
-	geo mem.Geometry
-	tim mem.Timing
+	geo   mem.Geometry
+	tim   mem.Timing
+	serNs float64 // time one packet occupies each link on its route
 
 	// busyNs per link class; indices documented on the accessors below.
 	ringBusy [][]float64 // [layer][segment]; segment s joins bank s and s+1 mod B
 	tsvBusy  []float64   // [vault]; one vertical bus per vault incl. logic layer hop
-	lineBusy [][]float64 // [layer*B+bank][segment]; segment s joins SPU s and s+1
+	lineBusy []float64   // [layer*B+bank]; the line segment next to the Dispatcher
 
 	hopWords  int64 // total (packet x segment) traversals, for energy
 	tsvWords  int64 // total (packet x layer-crossing) traversals
@@ -55,16 +63,13 @@ func New(g mem.Geometry, t mem.Timing) (*Network, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	n := &Network{geo: g, tim: t}
+	n := &Network{geo: g, tim: t, serNs: t.PacketSerializationNs(PairBits)}
 	n.ringBusy = make([][]float64, g.Layers)
 	for l := range n.ringBusy {
 		n.ringBusy[l] = make([]float64, g.BanksPerLayer)
 	}
 	n.tsvBusy = make([]float64, g.Vaults)
-	n.lineBusy = make([][]float64, g.Layers*g.BanksPerLayer)
-	for b := range n.lineBusy {
-		n.lineBusy[b] = make([]float64, g.SPUsPerBank()-1)
-	}
+	n.lineBusy = make([]float64, g.Layers*g.BanksPerLayer)
 	n.ringSegWords = make([]int64, g.Layers*g.BanksPerLayer)
 	n.tsvVaultWords = make([]int64, g.Vaults)
 	return n, nil
@@ -73,9 +78,6 @@ func New(g mem.Geometry, t mem.Timing) (*Network, error) {
 // DispatcherPos is the line position of the Dispatcher SPU: the subarray
 // pair closest to the ring interconnect (§4.3).
 func (n *Network) DispatcherPos() int { return n.geo.SPUsPerBank() - 1 }
-
-// serializationNs is the time one packet occupies each link on its route.
-func (n *Network) serializationNs() float64 { return n.tim.PacketSerializationNs(PairBits) }
 
 // Route describes the segments a packet crosses; returned for tests and
 // latency computation.
@@ -89,10 +91,8 @@ type Route struct {
 func (r Route) Hops() int { return r.LineHops + r.RingHops + r.TSVHops }
 
 // RouteSPUToSPU computes the path between two SPUs without charging traffic.
+// Every packet goes through the Dispatchers, a same-bank one too (§4.3).
 func (n *Network) RouteSPUToSPU(src, dst mem.SPUID) Route {
-	if src.Layer == dst.Layer && src.Bank == dst.Bank {
-		return Route{LineHops: n.geo.LineDistance(src.SPU, dst.SPU)}
-	}
 	r := Route{
 		LineHops: n.geo.LineDistance(src.SPU, n.DispatcherPos()) + n.geo.LineDistance(n.DispatcherPos(), dst.SPU),
 		TSVHops:  n.geo.TSVDistance(src.Layer, dst.Layer),
@@ -111,7 +111,7 @@ func (n *Network) RouteToLogic(src mem.SPUID) Route {
 
 // LatencyNs reports the unloaded one-packet latency of a route.
 func (n *Network) LatencyNs(r Route) float64 {
-	return float64(r.Hops())*n.tim.SegmentNs + n.serializationNs()
+	return float64(r.Hops())*n.tim.SegmentNs + n.serNs
 }
 
 // SendSPUToSPU charges packets of traffic along the SPU-to-SPU route and
@@ -130,6 +130,20 @@ func (n *Network) SendToLogic(src mem.SPUID, packets int64) Route {
 	return r
 }
 
+// SendLine charges packets over the line of flat bank
+// (layer*BanksPerLayer+bank) between SPU position spu and the bank's
+// Dispatcher, in either direction. It is SendSPUToSPU for a pair of one
+// bank's SPUs of which one is the Dispatcher, keyed by the flat bank the
+// caller already holds.
+func (n *Network) SendLine(bank, spu int, packets int64) {
+	if packets <= 0 {
+		return
+	}
+	n.chargeLine(bank, spu, float64(packets)*n.serNs)
+	n.hopWords += packets * int64(n.geo.LineDistance(spu, n.DispatcherPos()))
+	n.packets += packets
+}
+
 // BroadcastFromLogic charges a broadcast of words packets from the logic
 // layer to every bank (Step 1 of §5: long-activating frontier entries).
 // Broadcast rides every TSV and the full ring of every layer once.
@@ -137,7 +151,7 @@ func (n *Network) BroadcastFromLogic(words int64) {
 	if words <= 0 {
 		return
 	}
-	ser := float64(words) * n.serializationNs()
+	ser := float64(words) * n.serNs
 	for v := range n.tsvBusy {
 		n.tsvBusy[v] += ser
 		n.bump(n.tsvBusy[v])
@@ -159,27 +173,26 @@ func (n *Network) charge(src, dst mem.SPUID, r Route, packets int64) {
 	if packets <= 0 {
 		return
 	}
-	ser := float64(packets) * n.serializationNs()
+	ser := float64(packets) * n.serNs
 
-	if src.Layer == dst.Layer && src.Bank == dst.Bank && src.Layer != LogicLayer {
-		// Same-bank: the line carries the packet directly between the SPUs.
-		n.chargeLine(src.Layer, src.Bank, src.SPU, dst.SPU, ser)
-	} else {
-		// Source side line to the Dispatcher at the ring edge.
-		n.chargeLine(src.Layer, src.Bank, src.SPU, n.DispatcherPos(), ser)
-		// Ring segments in the source layer (bank-to-bank shortest arc).
-		if src.Layer != LogicLayer && dst.Layer != LogicLayer && src.Bank != dst.Bank {
-			n.chargeRing(src.Layer, src.Bank, dst.Bank, ser, packets)
-		}
-		// TSV bus of the destination vault.
-		if r.TSVHops > 0 {
-			v := n.geo.VaultOf(dst.Bank)
-			n.tsvBusy[v] += ser
-			n.bump(n.tsvBusy[v])
-			n.tsvVaultWords[v] += packets
-		}
-		// Destination side line from the Dispatcher to the target SPU.
-		n.chargeLine(dst.Layer, dst.Bank, n.DispatcherPos(), dst.SPU, ser)
+	// Source side line to the Dispatcher at the ring edge.
+	if src.Layer != LogicLayer {
+		n.chargeLine(src.Layer*n.geo.BanksPerLayer+src.Bank, src.SPU, ser)
+	}
+	// Ring segments in the source layer (bank-to-bank shortest arc).
+	if src.Layer != LogicLayer && dst.Layer != LogicLayer && src.Bank != dst.Bank {
+		n.chargeRing(src.Layer, src.Bank, dst.Bank, ser, packets)
+	}
+	// TSV bus of the destination vault.
+	if r.TSVHops > 0 {
+		v := n.geo.VaultOf(dst.Bank)
+		n.tsvBusy[v] += ser
+		n.bump(n.tsvBusy[v])
+		n.tsvVaultWords[v] += packets
+	}
+	// Destination side line from the Dispatcher to the target SPU.
+	if dst.Layer != LogicLayer {
+		n.chargeLine(dst.Layer*n.geo.BanksPerLayer+dst.Bank, dst.SPU, ser)
 	}
 
 	n.hopWords += packets * int64(r.LineHops+r.RingHops)
@@ -187,19 +200,14 @@ func (n *Network) charge(src, dst mem.SPUID, r Route, packets int64) {
 	n.packets += packets
 }
 
-func (n *Network) chargeLine(layer, bank, fromSPU, toSPU int, ser float64) {
-	if layer == LogicLayer {
+// chargeLine charges the leg between SPU position spu of flat bank and the
+// bank's Dispatcher; the Dispatcher itself has no line leg.
+func (n *Network) chargeLine(bank, spu int, ser float64) {
+	if spu == n.DispatcherPos() {
 		return
 	}
-	lo, hi := fromSPU, toSPU
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	links := n.lineBusy[layer*n.geo.BanksPerLayer+bank]
-	for s := lo; s < hi; s++ {
-		links[s] += ser
-		n.bump(links[s])
-	}
+	n.lineBusy[bank] += ser
+	n.bump(n.lineBusy[bank])
 }
 
 func (n *Network) chargeRing(layer, bankA, bankB int, ser float64, packets int64) {
@@ -256,19 +264,11 @@ func (n *Network) TSVVaultWords() []int64 { return n.tsvVaultWords }
 
 // Reset clears all occupancy and counters.
 func (n *Network) Reset() {
-	for l := range n.ringBusy {
-		for s := range n.ringBusy[l] {
-			n.ringBusy[l][s] = 0
-		}
+	for _, segs := range n.ringBusy {
+		clear(segs)
 	}
-	for v := range n.tsvBusy {
-		n.tsvBusy[v] = 0
-	}
-	for b := range n.lineBusy {
-		for s := range n.lineBusy[b] {
-			n.lineBusy[b][s] = 0
-		}
-	}
+	clear(n.tsvBusy)
+	clear(n.lineBusy)
 	clear(n.ringSegWords)
 	clear(n.tsvVaultWords)
 	n.hopWords, n.tsvWords, n.packets, n.maxBusyNs = 0, 0, 0, 0

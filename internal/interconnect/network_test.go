@@ -32,7 +32,8 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 func TestRouteSameBank(t *testing.T) {
 	n := newNet(t)
 	r := n.RouteSPUToSPU(mem.SPUID{Layer: 2, Bank: 5, SPU: 3}, mem.SPUID{Layer: 2, Bank: 5, SPU: 9})
-	if r.LineHops != 6 || r.RingHops != 0 || r.TSVHops != 0 {
+	// Through the Dispatcher at position 15: 3->15 is 12 hops, 15->9 is 6.
+	if r.LineHops != 12+6 || r.RingHops != 0 || r.TSVHops != 0 {
 		t.Fatalf("same-bank route = %+v", r)
 	}
 }
